@@ -1,0 +1,12 @@
+"""Import paths for the benchmark's own tests: the checkout's src/ and the benchmark directory.
+
+Run from the repository root:  python -m pytest benchmark/tests
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+for path in (BENCH.parent / "src", BENCH):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
