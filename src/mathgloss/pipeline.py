@@ -36,7 +36,6 @@ class PipelineConfig:
     max_words: int = DEFAULT_MAX_WORDS
     max_sentences: int = DEFAULT_MAX_SENTENCES
     solver_max_nodes: int = DEFAULT_MAX_NODES
-    trace: bool = False
 
 
 @dataclass
@@ -112,6 +111,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse reports a non-number as "invalid int value"
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mathgloss",
                      description="Construct a short textual description for a math expression.")
@@ -120,10 +129,12 @@ def _build_parser() -> _Parser:
     parser.add_argument("--stopwords", required=True, help="stopword file, one token per line")
     parser.add_argument("--expr", required=True, help="query expression")
     parser.add_argument("--context", required=True, help="query context text")
-    parser.add_argument("--k", type=int, default=DEFAULT_TOPICS, help="number of topics")
-    parser.add_argument("--max-words", type=int, default=DEFAULT_MAX_WORDS,
+    parser.add_argument("--k", type=_int_at_least(1), default=DEFAULT_TOPICS,
+                        help="number of topics")
+    parser.add_argument("--max-words", type=_int_at_least(0), default=DEFAULT_MAX_WORDS,
                         help="word budget for the description")
-    parser.add_argument("--max-sentences", type=int, default=DEFAULT_MAX_SENTENCES,
+    parser.add_argument("--max-sentences", type=_int_at_least(0),
+                        default=DEFAULT_MAX_SENTENCES,
                         help="sentence cap for the description")
     parser.add_argument("--trace", action="store_true", help="report intermediate stages")
     parser.add_argument("--json", action="store_true", dest="as_json",
@@ -161,7 +172,6 @@ def cli_run(argv: list[str] | None = None) -> int:
         k_topics=args.k,
         max_words=args.max_words,
         max_sentences=args.max_sentences,
-        trace=args.trace,
     )
     try:
         try:

@@ -7,21 +7,27 @@ sentences forces exactly the concepts they contain, so the 0-1 program
     subject to sum_j length_j * s_j <= budget,   sum_j s_j <= cap,
                s_j * occ[j][i] <= c_i,           sum_j s_j * occ[j][i] >= c_i
 
-reduces to searching over sentence subsets.  The solver is exact: plain
-depth-first enumeration with an optimistic-coverage bound when the pool has at
-most EXHAUSTIVE_LIMIT sentences, best-first branch and bound above that, with
-a node budget that raises InstanceTooLarge instead of returning a guess.
+reduces to searching over sentence subsets.  The solver is one exact branch
+and bound whose nodes are feasible subsets; a child adds one later sentence, so
+subsets are visited in lexicographic order.  A child's subtree is bounded by
+the node's objective plus the smaller of two relaxations over the sentences
+from the child's index onward that fit the words left: the top (cap - |S|)
+marginal gains, and a fractional knapsack of those gains within the words left
+(budgeted max coverage, Khuller, Moss & Naor 1999).  Gains count only positive
+coefficients, so f(S u A) <= f(S) + sum of gains holds for any coefficients.
+A node budget raises InstanceTooLarge instead of returning a guess.
 
 All objective values are evaluated with math.fsum over the covered concepts in
 index order.  fsum is correctly rounded, so equal concept sets give bit-equal
-objectives no matter how the search reached them, and the optimistic bound
-(a superset of the positive coefficients) can never round below an achievable
-value.
+objectives no matter how the search reached them.  The bounds are plain float
+sums, so a subtree is pruned only when its bound plus a slack far above their
+rounding error is strictly below the incumbent; equal optima still reach
+_offer, and the first one found, the lexicographically smallest, is kept.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -33,7 +39,6 @@ from .retrieval import Query
 from .selector import TimestampedDoc
 from .textsim import EmbeddingStore, avg_vector, cosine
 
-EXHAUSTIVE_LIMIT = 20
 DEFAULT_MAX_NODES = 5_000_000
 
 
@@ -175,12 +180,18 @@ def _objective(coefficients: list[float], mask: int) -> float:
     return math.fsum(coefficients[i] for i in _iter_bits(mask))
 
 
-def _bound(coefficients: list[float], covered: int, reachable: int) -> float:
-    """fsum over covered coefficients plus every positive still-reachable one."""
-    terms = [coefficients[i] for i in _iter_bits(covered)]
-    terms.extend(coefficients[i] for i in _iter_bits(reachable & ~covered)
-                 if coefficients[i] > 0.0)
-    return math.fsum(terms)
+def _knapsack(gains: dict[int, float], lengths: list[int], by_ratio: list[int],
+              first: int, room: int) -> float:
+    """Fractional knapsack of the gains of sentences first.. within room words."""
+    total = 0.0
+    for k in by_ratio:
+        if k < first:
+            continue
+        if lengths[k] > room:
+            return total + gains[k] * room / lengths[k]
+        total += gains[k]
+        room -= lengths[k]
+    return total
 
 
 class _Search:
@@ -189,79 +200,71 @@ class _Search:
         self.budget = instance.budget
         self.cap = instance.sentence_cap
         self.coefficients = [c.weight + c.relevance for c in instance.concepts]
-        self.masks = []
-        for row in instance.occurrence:
-            mask = 0
-            for i, v in enumerate(row):
-                if v:
-                    mask |= 1 << i
-            self.masks.append(mask)
+        self.positive = [max(c, 0.0) for c in self.coefficients]
+        self.masks = [sum(1 << i for i, v in enumerate(row) if v)
+                      for row in instance.occurrence]
         self.n = len(self.lengths)
-        self.suffix = [0] * (self.n + 1)
-        for j in range(self.n - 1, -1, -1):
-            self.suffix[j] = self.suffix[j + 1] | self.masks[j]
+        # far above the rounding error of any plain float sum the bound makes
+        self.slack = 1e-9 * math.fsum(abs(c) for c in self.coefficients)
         self.max_nodes = max_nodes
         self.nodes = 0
         self.best_objective = -math.inf
-        self.best_chosen: tuple[int, ...] | None = None
+        self.best_chosen: tuple[int, ...] = ()
         self.best_mask = 0
 
-    def _tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise InstanceTooLarge(self.nodes)
-
-    def _offer(self, chosen: tuple[int, ...], mask: int) -> None:
+    def _offer(self, chosen: tuple[int, ...], mask: int) -> float:
+        """Keep the subset if it beats the incumbent.  Subsets arrive in
+        lexicographic order, so among equal optima the first one stays."""
         objective = _objective(self.coefficients, mask)
-        if objective > self.best_objective or (
-            objective == self.best_objective
-            and (self.best_chosen is None or chosen < self.best_chosen)
-        ):
+        if objective > self.best_objective:
             self.best_objective = objective
             self.best_chosen = chosen
             self.best_mask = mask
+        return objective
 
-    def depth_first(self) -> None:
-        lengths, masks, cap, budget = self.lengths, self.masks, self.cap, self.budget
+    def _gain(self, j: int, covered: int) -> float:
+        """Positive part of sentence j's marginal gain over the covered concepts."""
+        return sum(self.positive[i] for i in _iter_bits(self.masks[j] & ~covered))
 
-        def visit(index: int, chosen: tuple[int, ...], used_len: int, covered: int) -> None:
-            self._tick()
-            if index == self.n:
-                self._offer(chosen, covered)
-                return
-            # prune only on strictly worse bounds so objective ties still
-            # reach _offer and the lexicographic rule decides
-            if _bound(self.coefficients, covered, self.suffix[index]) < self.best_objective:
-                return
-            if len(chosen) < cap and used_len + lengths[index] <= budget:
-                visit(index + 1, chosen + (index,),
-                      used_len + lengths[index], covered | masks[index])
-            visit(index + 1, chosen, used_len, covered)
+    def _visit(self, chosen: tuple[int, ...], used: int, covered: int,
+               fresh: int, inherited: dict[int, float]):
+        """Offer one feasible subset, then yield each child worth visiting.
+        Only sentences touching fresh, the concepts this node newly covered,
+        get their gains recomputed; the others inherit the parent's."""
+        self.nodes += 1
+        if self.nodes > self.max_nodes:
+            raise InstanceTooLarge(self.nodes)
+        objective = self._offer(chosen, covered)
+        slots = self.cap - len(chosen)
+        if not slots:
+            return
+        lengths, masks = self.lengths, self.masks
+        room = self.budget - used
+        fits = [j for j in range(chosen[-1] + 1 if chosen else 0, self.n)
+                if lengths[j] <= room]
+        gains = {j: self._gain(j, covered) if masks[j] & fresh else inherited[j]
+                 for j in fits}
+        by_gain = sorted(fits, key=gains.__getitem__, reverse=True)
+        by_ratio = sorted(fits, reverse=True,
+                          key=lambda j: gains[j] / lengths[j] if lengths[j] else math.inf)
+        for j in fits:
+            top = sum(itertools.islice((gains[k] for k in by_gain if k >= j), slots))
+            relaxed = min(top, _knapsack(gains, lengths, by_ratio, j, room))
+            if objective + relaxed + self.slack < self.best_objective:
+                return  # later children see fewer sentences, so bound no higher
+            yield (chosen + (j,), used + lengths[j], covered | masks[j],
+                   masks[j] & ~covered, gains)
 
-        visit(0, (), 0, 0)
-
-    def best_first(self) -> None:
-        counter = 0
-        start_bound = _bound(self.coefficients, 0, self.suffix[0])
-        heap = [(-start_bound, counter, 0, (), 0, 0)]
-        while heap:
-            neg_bound, _, index, chosen, used_len, covered = heapq.heappop(heap)
-            self._tick()
-            if -neg_bound < self.best_objective:
-                break  # heap is bound-ordered: nothing left can win or tie
-            if index == self.n:
-                self._offer(chosen, covered)
-                continue
-            if len(chosen) < self.cap and used_len + self.lengths[index] <= self.budget:
-                new_covered = covered | self.masks[index]
-                counter += 1
-                heap_bound = _bound(self.coefficients, new_covered, self.suffix[index + 1])
-                heapq.heappush(heap, (-heap_bound, counter, index + 1,
-                                      chosen + (index,),
-                                      used_len + self.lengths[index], new_covered))
-            counter += 1
-            skip_bound = _bound(self.coefficients, covered, self.suffix[index + 1])
-            heapq.heappush(heap, (-skip_bound, counter, index + 1, chosen, used_len, covered))
+    def run(self) -> None:
+        # one generator per level on an explicit stack: depth costs no recursion;
+        # fresh = -1 recomputes every gain (one without concepts inherits 0)
+        stack = [self._visit((), 0, 0, -1, dict.fromkeys(range(self.n), 0.0))]
+        while stack:
+            child = next(stack[-1], None)
+            if child is None:
+                stack.pop()
+            else:
+                stack.append(self._visit(*child))
 
 
 def solve_ilp(instance: IlpInstance, max_nodes: int = DEFAULT_MAX_NODES) -> Selection:
@@ -270,16 +273,11 @@ def solve_ilp(instance: IlpInstance, max_nodes: int = DEFAULT_MAX_NODES) -> Sele
     budget runs out before optimality is proven."""
     _validate_instance(instance)
     search = _Search(instance, max_nodes)
-    if search.n <= EXHAUSTIVE_LIMIT:
-        search.depth_first()
-    else:
-        search.best_first()
-    chosen = search.best_chosen if search.best_chosen is not None else ()
-    covered = tuple(sorted(_iter_bits(search.best_mask)))
+    search.run()
     selection = Selection(
-        sentences=tuple(chosen),
-        concepts=covered,
-        objective=_objective(search.coefficients, search.best_mask),
+        sentences=search.best_chosen,
+        concepts=tuple(_iter_bits(search.best_mask)),
+        objective=search.best_objective,
     )
     verify_selection(instance, selection)
     return selection

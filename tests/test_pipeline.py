@@ -125,6 +125,23 @@ def test_cli_non_integer_k_is_usage_error(fixture_paths, capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--k", "0"), ("--k", "-2"), ("--max-words", "-1"), ("--max-sentences", "-1"),
+])
+def test_cli_out_of_range_flag_is_usage_error(fixture_paths, capsys, flag, value):
+    assert cli_run(_cli_args(fixture_paths, flag, value)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage:")
+    assert err[-1].startswith("error:") and flag in err[-1]
+    assert not any("Traceback" in line for line in err)
+
+
+def test_cli_zero_limits_are_accepted(fixture_paths, capsys):
+    assert cli_run(_cli_args(fixture_paths, "--max-words", "0",
+                             "--max-sentences", "0")) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_missing_corpus_file_is_data_error(fixture_paths, capsys):
     args = _cli_args(fixture_paths)
     args[args.index("--corpus") + 1] = "/nonexistent/corpus.jsonl"

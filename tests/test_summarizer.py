@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,8 @@ from mathgloss import Query, solve_ilp, verify_selection
 from mathgloss.corpus import Document, Sentence
 from mathgloss.errors import EmptyPool, InstanceTooLarge
 from mathgloss.selector import TimestampedDoc
-from mathgloss.summarizer import (EXHAUSTIVE_LIMIT, Concept, IlpInstance,
-                                  PoolSentence, Selection, _Search,
-                                  build_instance, dump_instance,
+from mathgloss.summarizer import (Concept, IlpInstance, PoolSentence,
+                                  Selection, build_instance, dump_instance,
                                   extract_concepts, instance_from_dict,
                                   instance_to_dict, load_instance,
                                   order_sentences, sentence_bigrams)
@@ -230,12 +230,21 @@ def test_solver_takes_worthwhile_longer_combination():
     assert selection.objective == 6.0
 
 
+def _disjoint_instance(weights, budget, cap):
+    """Sentence j has one word and covers concept j alone."""
+    n = len(weights)
+    occurrence = [[int(i == j) for i in range(n)] for j in range(n)]
+    return _tiny_instance([1] * n, occurrence, weights, budget, cap)
+
+
 def test_node_budget_exhaustion_raises():
-    rng = random.Random(1)
-    instance = random_instance(rng, max_sentences=12, max_concepts=12)
+    # twelve equal disjoint sentences under cap 3: every triple ties, and a
+    # bound equal to the incumbent is never pruned, so the proof takes 286 nodes
+    instance = _disjoint_instance([1] * 12, budget=12, cap=3)
     with pytest.raises(InstanceTooLarge) as excinfo:
-        solve_ilp(instance, max_nodes=3)
-    assert excinfo.value.nodes > 3
+        solve_ilp(instance, max_nodes=100)
+    assert excinfo.value.nodes > 100
+    assert solve_ilp(instance).sentences == (0, 1, 2)
 
 
 @pytest.mark.parametrize("mutate,message", [
@@ -284,28 +293,38 @@ def test_solver_matches_oracle_on_seeded_batch():
 
 def test_large_pool_uses_bounded_search_and_stays_exact():
     rng = random.Random(77)
-    for _ in range(3):
-        n = EXHAUSTIVE_LIMIT + rng.randint(2, 6)  # forces the best-first path
-        instance = random_instance(rng, max_sentences=n, max_concepts=14)
-        while len(instance.lengths) <= EXHAUSTIVE_LIMIT:
-            instance = random_instance(rng, max_sentences=n, max_concepts=14)
-        instance.sentence_cap = min(instance.sentence_cap, 3)
+    checked = 0
+    while checked < 4:
+        instance = random_instance(rng, max_sentences=36, max_concepts=14)
+        if len(instance.lengths) < 22:
+            continue
+        checked += 1
+        instance.sentence_cap = min(instance.sentence_cap, 4)
         selection = solve_ilp(instance)
         objective, chosen = brute_force_solve(instance)
         assert selection.objective == objective
         assert selection.sentences == chosen
 
 
-def test_both_search_strategies_agree():
-    rng = random.Random(5)
-    for _ in range(25):
-        instance = random_instance(rng, max_sentences=10, max_concepts=12)
-        depth = _Search(instance, max_nodes=10 ** 7)
-        depth.depth_first()
-        best = _Search(instance, max_nodes=10 ** 7)
-        best.best_first()
-        assert depth.best_objective == best.best_objective
-        assert depth.best_chosen == best.best_chosen
+def test_cap_and_budget_bound_proves_large_pool():
+    # the 27th draw of this stream has 31 sentences and 54 concepts; under cap 4 a
+    # bound that ignores the cap and the word budget ran out of 20,000 nodes
+    rng = random.Random(3)
+    for _ in range(27):
+        instance = random_instance(rng, max_sentences=36, max_concepts=60)
+    instance.sentence_cap = 4
+    assert len(instance.lengths) >= 30
+    selection = solve_ilp(instance, max_nodes=20_000)
+    assert (selection.objective, selection.sentences) == brute_force_solve(instance)
+
+
+def test_pool_longer_than_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    weights = list(range(n, 0, -1))
+    for cap in (1, 2):
+        selection = solve_ilp(_disjoint_instance(weights, budget=n, cap=cap))
+        assert selection.sentences == tuple(range(cap))
+        assert selection.objective == sum(weights[:cap])
 
 
 _WEIGHTS = st.integers(min_value=1, max_value=4)
