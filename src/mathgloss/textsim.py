@@ -7,6 +7,7 @@ components.  A companion stopword file lists one token per line.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -81,15 +82,32 @@ def avg_vector(tokens, store: EmbeddingStore) -> np.ndarray | None:
     return total / len(contributing)
 
 
+_TINY = sys.float_info.min  # smallest normal double
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity; 0.0 when either vector has zero norm.
 
     The denominator is sqrt(<a,a>*<b,b>), which keeps cosine(a, 2a) exactly 1.
+    When a squared norm or their product leaves the normal float range (it
+    underflows or overflows) both vectors are first scaled by powers of two so
+    their largest component lies in [0.5, 1), which brings the norms back into
+    the normal range without rounding any component that is itself normal.
     """
     if a.shape != b.shape:
         raise DimensionMismatch(f"operands of dimension {a.shape[0]} and {b.shape[0]}")
-    numerator = float(np.dot(a, b))
-    denominator = math.sqrt(float(np.dot(a, a)) * float(np.dot(b, b)))
-    if denominator == 0.0:
-        return 0.0
-    return numerator / denominator
+    aa, bb = float(np.dot(a, a)), float(np.dot(b, b))
+    if not (aa >= _TINY and bb >= _TINY and _TINY <= aa * bb < math.inf):
+        a, b = _unit_scaled(a), _unit_scaled(b)
+        if a is None or b is None:
+            return 0.0
+        aa, bb = float(np.dot(a, a)), float(np.dot(b, b))
+    return float(np.dot(a, b)) / math.sqrt(aa * bb)
+
+
+def _unit_scaled(v: np.ndarray) -> np.ndarray | None:
+    """v times the power of two that puts max|v| in [0.5, 1); None for a zero vector."""
+    largest = float(np.max(np.abs(v)))
+    if largest == 0.0:
+        return None
+    return np.ldexp(v, -math.frexp(largest)[1])

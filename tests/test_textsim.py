@@ -142,6 +142,15 @@ def test_cosine_self_and_scaled_self_are_exactly_one():
     assert cosine(v, -v) == -1.0
 
 
+def test_cosine_stays_exact_when_a_norm_leaves_the_normal_range():
+    tiny = np.array([2.066147579417722e-158])  # its square is subnormal
+    assert cosine(np.array([1.0]), tiny) == 1.0
+    assert cosine(np.array([7220.0]), tiny) == 1.0
+    assert cosine(np.array([1e-170]), np.array([-1e-170])) == -1.0
+    with np.errstate(over="ignore"):
+        assert cosine(np.array([1e200, 0.0]), np.array([3e200, 0.0])) == 1.0
+
+
 def test_cosine_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatch):
         cosine(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
