@@ -3,7 +3,8 @@
 from .corpus import Corpus, Document, MathItem, Sentence, load_corpus, save_corpus, tokenize
 from .errors import (DimensionMismatch, DuplicateTitle, EmptyCorpus, EmptyPool,
                      EmptyVectorFile, InstanceTooLarge, MalformedRecord,
-                     MathGlossError, ParseError, QueryParseError, UnknownVertex)
+                     MathGlossError, NotUtf8, ParseError, QueryParseError,
+                     UnknownVertex)
 from .mathtree import MathNode, MathTree, parse_expression, tree_similarity
 from .pipeline import PipelineConfig, Trace, cli_run, describe
 from .retrieval import Query, Topic, rank_topics

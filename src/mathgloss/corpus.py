@@ -8,11 +8,13 @@ metadata without breaking older readers.
 from __future__ import annotations
 
 import json
+import sys
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator, TextIO
 
-from .errors import DuplicateTitle, EmptyCorpus, MalformedRecord, ParseError
+from .errors import DuplicateTitle, EmptyCorpus, MalformedRecord, NotUtf8, ParseError
 from .mathtree import MathTree, parse_expression
 
 
@@ -33,17 +35,19 @@ def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip edge punctuation, drop empties.
 
     Interior punctuation survives, so "cassini's" stays one token.  The
-    function is idempotent on its own space-joined output.
+    function is idempotent on its own space-joined output.  Tokens are
+    interned: a corpus repeats a small vocabulary many times over.
     """
     tokens = []
     for raw in text.lower().split():
-        token = _strip_punct(raw)
+        # no letter or digit is punctuation, so most words need no stripping
+        token = raw if raw[0].isalnum() and raw[-1].isalnum() else _strip_punct(raw)
         if token:
-            tokens.append(token)
+            tokens.append(sys.intern(token))
     return tokens
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     text: str
     tokens: tuple[str, ...]
@@ -58,7 +62,7 @@ class Sentence:
         return cls(text=text, tokens=tuple(tokenize(text)), position=position)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MathItem:
     source: str
     tree: MathTree
@@ -66,7 +70,7 @@ class MathItem:
     cites: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Document:
     id: str
     title: str
@@ -150,27 +154,40 @@ def _parse_record(raw: object, line_number: int) -> Document:
                     sentences=sentences, math_items=tuple(math_items))
 
 
+def numbered_lines(fh: TextIO, name: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line) pairs of a text stream; bytes that are not UTF-8 are a data error."""
+    try:
+        yield from enumerate(fh, 1)
+    except UnicodeDecodeError as exc:
+        raise NotUtf8(f"{name}: not UTF-8 text ({exc.reason})") from exc
+
+
 def load_corpus(path: str | Path) -> Corpus:
     """Read one document per line; reject malformed records with the line number."""
+    with open(path, encoding="utf-8") as fh:
+        return read_corpus(fh, path)
+
+
+def read_corpus(fh: TextIO, name: str | Path) -> Corpus:
+    """load_corpus on an open text stream; name stands for the file in messages."""
     documents: dict[str, Document] = {}
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(line_number, f"invalid JSON: {exc.msg}") from exc
-            doc = _parse_record(raw, line_number)
-            if doc.title in documents:
-                raise DuplicateTitle(doc.title)
-            if doc.id in seen_ids:
-                raise MalformedRecord(line_number, f"duplicate document id {doc.id!r}")
-            seen_ids.add(doc.id)
-            documents[doc.title] = doc
+    for line_number, line in numbered_lines(fh, name):
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(line_number, f"invalid JSON: {exc.msg}") from exc
+        doc = _parse_record(raw, line_number)
+        if doc.title in documents:
+            raise DuplicateTitle(doc.title)
+        if doc.id in seen_ids:
+            raise MalformedRecord(line_number, f"duplicate document id {doc.id!r}")
+        seen_ids.add(doc.id)
+        documents[doc.title] = doc
     if not documents:
-        raise EmptyCorpus(f"no records in {path}")
+        raise EmptyCorpus(f"no records in {name}")
     return Corpus(documents)
 
 

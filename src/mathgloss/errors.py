@@ -20,6 +20,10 @@ class DuplicateTitle(MathGlossError):
         self.title = title
 
 
+class NotUtf8(MathGlossError):
+    """A corpus, vector or stopword file holds bytes that are not UTF-8 text."""
+
+
 class EmptyCorpus(MathGlossError):
     """Corpus file contained no records, or an empty corpus reached a stage that needs one."""
 
@@ -38,7 +42,7 @@ class QueryParseError(MathGlossError):
 
 
 class DimensionMismatch(MathGlossError):
-    """Vector rows or operands disagree on dimension."""
+    """Vector rows or operands disagree on dimension, or a row is not a vector of finite numbers."""
 
 
 class EmptyVectorFile(MathGlossError):

@@ -26,13 +26,13 @@ _MULTIPLICATIVE = {"*", "/"}
 _POSTFIX = {"^", "_"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MathNode:
     label: str
     children: tuple["MathNode", ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MathTree:
     root: MathNode
 
@@ -44,7 +44,7 @@ class MathTree:
             stack.extend(node.children)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Token:
     kind: str  # SYMBOL NUMBER COMMAND OP LPAREN RPAREN LBRACE RBRACE
     value: str

@@ -13,8 +13,8 @@ import logging
 from dataclasses import dataclass
 
 from .corpus import Document, tokenize
-from .retrieval import Query, Topic
-from .textsim import EmbeddingStore, avg_vector, cosine
+from .retrieval import Query, Topic, lead_vector
+from .textsim import EmbeddingStore, avg_vector, text_cosine
 from .mathtree import tree_similarity
 from .trg import Edge, TopicRelationGraph
 
@@ -27,20 +27,12 @@ def edge_query_sim(edge: Edge, query: Query, store: EmbeddingStore) -> float:
     """Context cosine plus expression-tree similarity for one edge."""
     edge_vec = avg_vector(tokenize(edge.context), store)
     query_vec = avg_vector(query.context_tokens, store)
-    if edge_vec is None or query_vec is None:
-        cos_term = 0.0
-    else:
-        cos_term = cosine(edge_vec, query_vec)
-    return cos_term + tree_similarity(edge.expression, query.expression)
+    return text_cosine(edge_vec, query_vec) + tree_similarity(edge.expression, query.expression)
 
 
 def doc_query_sim(doc: Document, query: Query, store: EmbeddingStore) -> float:
     """Cosine between the document's leading paragraph and the query context."""
-    lead_vec = avg_vector(tokenize(doc.leading_paragraph), store)
-    query_vec = avg_vector(query.context_tokens, store)
-    if lead_vec is None or query_vec is None:
-        return 0.0
-    return cosine(lead_vec, query_vec)
+    return text_cosine(lead_vector(doc, store), avg_vector(query.context_tokens, store))
 
 
 def _argmax_edge(graph: TopicRelationGraph, edges: list[Edge], query: Query,

@@ -15,14 +15,17 @@ from the child's index onward that fit the words left: the top (cap - |S|)
 marginal gains, and a fractional knapsack of those gains within the words left
 (budgeted max coverage, Khuller, Moss & Naor 1999).  Gains count only positive
 coefficients, so f(S u A) <= f(S) + sum of gains holds for any coefficients.
-A node budget raises InstanceTooLarge instead of returning a guess.
+Before the search starts, the better of two greedy selections, by gain per
+word and by gain, becomes the incumbent, so the search spends its nodes on the
+proof rather than on finding the optimum.  A node budget raises
+InstanceTooLarge instead of returning a guess.
 
 All objective values are evaluated with math.fsum over the covered concepts in
 index order.  fsum is correctly rounded, so equal concept sets give bit-equal
 objectives no matter how the search reached them.  The bounds are plain float
 sums, so a subtree is pruned only when its bound plus a slack far above their
 rounding error is strictly below the incumbent; equal optima still reach
-_offer, and the first one found, the lexicographically smallest, is kept.
+_offer, which keeps the lexicographically smallest of them.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .corpus import Document
 from .errors import EmptyPool, InstanceTooLarge
 from .retrieval import Query
 from .selector import TimestampedDoc
-from .textsim import EmbeddingStore, avg_vector, cosine
+from .textsim import EmbeddingStore, avg_vector, text_cosine
 
 DEFAULT_MAX_NODES = 5_000_000
 
@@ -126,11 +129,7 @@ def extract_concepts(docs: list[Document], query: Query,
     query_vec = avg_vector(query.context_tokens, store)
     concepts = []
     for bigram, weight in weights.items():
-        bigram_vec = avg_vector(bigram, store)
-        if query_vec is None or bigram_vec is None:
-            relevance = 0.0
-        else:
-            relevance = cosine(bigram_vec, query_vec)
+        relevance = text_cosine(avg_vector(bigram, store), query_vec)
         concepts.append(Concept(bigram=bigram, weight=weight, relevance=relevance))
     return pool, concepts
 
@@ -213,10 +212,11 @@ class _Search:
         self.best_mask = 0
 
     def _offer(self, chosen: tuple[int, ...], mask: int) -> float:
-        """Keep the subset if it beats the incumbent.  Subsets arrive in
-        lexicographic order, so among equal optima the first one stays."""
+        """Keep the subset if it beats the incumbent, or equals it and is
+        lexicographically smaller."""
         objective = _objective(self.coefficients, mask)
-        if objective > self.best_objective:
+        if objective > self.best_objective or (
+                objective == self.best_objective and chosen < self.best_chosen):
             self.best_objective = objective
             self.best_chosen = chosen
             self.best_mask = mask
@@ -255,7 +255,37 @@ class _Search:
             yield (chosen + (j,), used + lengths[j], covered | masks[j],
                    masks[j] & ~covered, gains)
 
+    def greedy(self, per_word: bool) -> tuple[tuple[int, ...], int]:
+        """Add the sentence of largest gain, or gain per word, while one with a
+        positive gain fits the cap and the budget; ties go to the lowest index."""
+        chosen: list[int] = []
+        used = covered = 0
+        while len(chosen) < self.cap:
+            best, best_key = None, 0.0
+            for j in range(self.n):
+                if j in chosen or used + self.lengths[j] > self.budget:
+                    continue
+                gain = self._gain(j, covered)
+                if gain <= 0.0:
+                    continue
+                if not per_word:
+                    key = gain
+                elif self.lengths[j]:
+                    key = gain / self.lengths[j]
+                else:
+                    key = math.inf
+                if best is None or key > best_key:
+                    best, best_key = j, key
+            if best is None:
+                break
+            chosen.append(best)
+            used += self.lengths[best]
+            covered |= self.masks[best]
+        return tuple(sorted(chosen)), covered
+
     def run(self) -> None:
+        for per_word in (True, False):
+            self._offer(*self.greedy(per_word))
         # one generator per level on an explicit stack: depth costs no recursion;
         # fresh = -1 recomputes every gain (one without concepts inherits 0)
         stack = [self._visit((), 0, 0, -1, dict.fromkeys(range(self.n), 0.0))]

@@ -10,9 +10,11 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
+from .corpus import numbered_lines
 from .errors import DimensionMismatch, EmptyVectorFile
 
 
@@ -27,42 +29,61 @@ class EmbeddingStore:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    words = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip().lower()
-            if word:
-                words.add(word)
+        return read_stopwords(fh, path)
+
+
+def read_stopwords(fh: TextIO, name: str | Path) -> frozenset[str]:
+    """load_stopwords on an open text stream; name stands for the file in messages."""
+    words = set()
+    for _, line in numbered_lines(fh, name):
+        word = line.strip().lower()
+        if word:
+            words.add(word)
     return frozenset(words)
 
 
 def load_vectors(path: str | Path, stopword_path: str | Path) -> EmbeddingStore:
     """Read the vector and stopword files; every row must share one dimension."""
-    vectors: dict[str, np.ndarray] = {}
-    dimension: int | None = None
     with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            token, raw_values = parts[0], parts[1:]
-            try:
-                values = np.array([float(v) for v in raw_values], dtype=np.float64)
-            except ValueError as exc:
-                raise DimensionMismatch(f"line {line_number}: non-numeric component") from exc
-            if dimension is None:
-                if len(values) == 0:
-                    raise DimensionMismatch(f"line {line_number}: row has no components")
-                dimension = len(values)
-            elif len(values) != dimension:
-                raise DimensionMismatch(
-                    f"line {line_number}: expected {dimension} components, found {len(values)}"
-                )
-            vectors[token] = values
-    if dimension is None:
-        raise EmptyVectorFile(f"no vector rows in {path}")
+        dimension, vectors = read_vectors(fh, path)
     return EmbeddingStore(dimension=dimension, vectors=vectors,
                           stopwords=load_stopwords(stopword_path))
+
+
+def read_vectors(fh: TextIO, name: str | Path) -> tuple[int, dict[str, np.ndarray]]:
+    """The dimension and the rows of a vector file, read from an open text stream.
+
+    Every component must be a finite number: one inf or nan would turn every
+    cosine it reaches into nan.
+    """
+    vectors: dict[str, np.ndarray] = {}
+    dimension: int | None = None
+    for line_number, line in numbered_lines(fh, name):
+        parts = line.split()
+        if not parts:
+            continue
+        token, raw_values = parts[0], parts[1:]
+        try:
+            floats = [float(v) for v in raw_values]
+        except ValueError as exc:
+            raise DimensionMismatch(f"line {line_number}: non-numeric component") from exc
+        # a sum is finite only if every component is, so it screens the row cheaply
+        if not math.isfinite(sum(floats)) and not all(map(math.isfinite, floats)):
+            raise DimensionMismatch(f"line {line_number}: non-finite component")
+        values = np.array(floats, dtype=np.float64)
+        if dimension is None:
+            if len(values) == 0:
+                raise DimensionMismatch(f"line {line_number}: row has no components")
+            dimension = len(values)
+        elif len(values) != dimension:
+            raise DimensionMismatch(
+                f"line {line_number}: expected {dimension} components, found {len(values)}"
+            )
+        vectors[token] = values
+    if dimension is None:
+        raise EmptyVectorFile(f"no vector rows in {name}")
+    return dimension, vectors
 
 
 def avg_vector(tokens, store: EmbeddingStore) -> np.ndarray | None:
@@ -80,6 +101,13 @@ def avg_vector(tokens, store: EmbeddingStore) -> np.ndarray | None:
     for token in contributing:
         total += store.vectors[token]
     return total / len(contributing)
+
+
+def text_cosine(a: np.ndarray | None, b: np.ndarray | None) -> float:
+    """cosine of two avg_vector results; 0.0 when either text had no usable token."""
+    if a is None or b is None:
+        return 0.0
+    return cosine(a, b)
 
 
 _TINY = sys.float_info.min  # smallest normal double

@@ -17,7 +17,7 @@ from .errors import UnknownVertex
 from .mathtree import MathTree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     source: str
     target: str

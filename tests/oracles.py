@@ -15,12 +15,13 @@ from collections import Counter
 
 import numpy as np
 
-from mathgloss import Corpus, Document, Query
-from mathgloss.corpus import Sentence
+from mathgloss import Corpus, Document, Query, Topic
+from mathgloss.corpus import Sentence, tokenize
 from mathgloss.corpus import MathItem
-from mathgloss.mathtree import PATH_DEPTH, MathNode, MathTree, parse_expression
+from mathgloss.errors import EmptyCorpus
+from mathgloss.mathtree import PATH_DEPTH, MathNode, MathTree, parse_expression, tree_similarity
 from mathgloss.summarizer import Concept, IlpInstance
-from mathgloss.textsim import EmbeddingStore
+from mathgloss.textsim import EmbeddingStore, avg_vector, cosine
 
 
 # --------------------------------------------------------------------------
@@ -103,6 +104,35 @@ def random_instance(rng: random.Random, max_sentences: int = 12,
     return IlpInstance(sentences=[f"s{j}" for j in range(n)], lengths=lengths,
                        concepts=concepts, occurrence=occurrence,
                        budget=budget, sentence_cap=rng.randint(1, n))
+
+
+# --------------------------------------------------------------------------
+# ranking oracle
+
+def rank_topics_oracle(query: Query, corpus: Corpus, store: EmbeddingStore,
+                       k: int = 3) -> list[Topic]:
+    """Top-k topics scored document by document, with no index: the query
+    against every math item by tree_similarity, every lead paragraph averaged
+    anew.  This is rank_topics as it was before the inverted path index."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if len(corpus) == 0:
+        raise EmptyCorpus("cannot rank topics over an empty corpus")
+    query_vec = avg_vector(query.context_tokens, store)
+    scored = []
+    for doc in corpus:
+        tree_term = max(
+            (tree_similarity(query.expression, item.tree) for item in doc.math_items),
+            default=0.0,
+        )
+        lead_vec = avg_vector(tokenize(doc.leading_paragraph), store)
+        if query_vec is None or lead_vec is None:
+            cos_term = 0.0
+        else:
+            cos_term = cosine(query_vec, lead_vec)
+        scored.append(Topic(title=doc.title, score=tree_term + cos_term))
+    scored.sort(key=lambda t: (-t.score, t.title))
+    return scored[:k]
 
 
 # --------------------------------------------------------------------------

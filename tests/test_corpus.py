@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mathgloss import load_corpus, save_corpus, tokenize
-from mathgloss.corpus import Sentence, document_to_record
+from mathgloss.corpus import Sentence, _strip_punct, document_to_record
 from mathgloss.errors import DuplicateTitle, EmptyCorpus, MalformedRecord
 
 
@@ -36,6 +36,13 @@ def test_tokenize_handles_bracketed_words():
 def test_tokenize_idempotent_on_its_own_output(text):
     once = tokenize(text)
     assert tokenize(" ".join(once)) == once
+
+
+@given(st.text())
+def test_tokenize_strips_every_word_as_strip_punct_does(text):
+    # tokenize skips _strip_punct for words with a letter or digit at both ends
+    expected = [t for t in map(_strip_punct, text.lower().split()) if t]
+    assert tokenize(text) == expected
 
 
 # --------------------------------------------------------------------------

@@ -166,6 +166,19 @@ def test_cli_malformed_corpus_is_data_error(fixture_paths, tmp_path, capsys):
     assert "error:" in err and "line 1" in err
 
 
+@pytest.mark.parametrize("flag", ["--corpus", "--vectors", "--stopwords"])
+def test_cli_file_that_is_not_utf8_is_data_error(fixture_paths, tmp_path, capsys, flag):
+    name = flag.lstrip("-")
+    bad = tmp_path / fixture_paths[name].name
+    bad.write_bytes(b"\xff\xfe" + fixture_paths[name].read_bytes())
+    args = _cli_args(fixture_paths)
+    args[args.index(flag) + 1] = str(bad)
+    assert cli_run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "not UTF-8" in err
+
+
 def test_cli_json_output(fixture_paths, capsys):
     assert cli_run(_cli_args(fixture_paths, "--json")) == 0
     payload = json.loads(capsys.readouterr().out)

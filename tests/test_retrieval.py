@@ -1,12 +1,16 @@
 """Query parsing and topic ranking."""
 
+import random
+
 import numpy as np
 import pytest
 
 from mathgloss import Corpus, Query, rank_topics
 from mathgloss.corpus import Document, Sentence
 from mathgloss.errors import EmptyCorpus, ParseError
+from mathgloss.retrieval import TopicIndex
 from mathgloss.textsim import EmbeddingStore
+from oracles import random_corpus, random_query, random_store, rank_topics_oracle
 
 
 def test_query_parse_builds_tree_and_tokens():
@@ -102,3 +106,35 @@ def test_best_math_item_is_used_not_first_or_sum():
     topics = rank_topics(Query.parse("q+r", "noise"), corpus, store, k=1)
     # first item scores 2/3, second scores 1.0; the sum would exceed 1
     assert topics[0].score == 1.0
+
+
+# --------------------------------------------------------------------------
+# the inverted path index against the document-by-document oracle
+
+def _bits(topics):
+    return [(t.title, t.score.hex()) for t in topics]
+
+
+def test_indexed_rank_equals_oracle_on_fixture(corpus, store):
+    index = TopicIndex(corpus, store)
+    contexts = ["pythagorean theorem for the sides of a right triangle",
+                "probability of an event given another", "no vocabulary here"]
+    for doc in corpus:
+        for item in doc.math_items:
+            for context in contexts:
+                query = Query.parse(item.source, context)
+                expected = _bits(rank_topics_oracle(query, corpus, store, k=12))
+                assert _bits(index.rank(query, 12)) == expected
+                assert _bits(rank_topics(query, corpus, store, k=12)) == expected
+
+
+def test_indexed_rank_equals_oracle_on_random_corpora():
+    rng = random.Random(606)
+    for _ in range(150):
+        corpus, store = random_corpus(rng, max_docs=12), random_store(rng)
+        index = TopicIndex(corpus, store)  # one index serves many queries
+        for _ in range(4):
+            query, k = random_query(rng), rng.randint(1, 14)
+            expected = _bits(rank_topics_oracle(query, corpus, store, k=k))
+            assert _bits(index.rank(query, k)) == expected
+            assert _bits(rank_topics(query, corpus, store, k=k)) == expected

@@ -13,7 +13,7 @@ from mathgloss.corpus import Document, Sentence
 from mathgloss.errors import EmptyPool, InstanceTooLarge
 from mathgloss.selector import TimestampedDoc
 from mathgloss.summarizer import (Concept, IlpInstance, PoolSentence,
-                                  Selection, build_instance, dump_instance,
+                                  Selection, _Search, build_instance, dump_instance,
                                   extract_concepts, instance_from_dict,
                                   instance_to_dict, load_instance,
                                   order_sentences, sentence_bigrams)
@@ -245,6 +245,28 @@ def test_node_budget_exhaustion_raises():
         solve_ilp(instance, max_nodes=100)
     assert excinfo.value.nodes > 100
     assert solve_ilp(instance).sentences == (0, 1, 2)
+
+
+def test_warm_start_gives_way_to_a_lexicographically_smaller_optimum():
+    # sentence 2 covers the two concepts sentences 0 and 1 cover one each; both
+    # greedy passes pick (2,), an optimum, yet (0, 1) is the smallest of the optima
+    instance = _tiny_instance([1, 1, 1], [[1, 0], [0, 1], [1, 1]], [1, 1], budget=2, cap=2)
+    search = _Search(instance, max_nodes=100)
+    assert search.greedy(per_word=True) == search.greedy(per_word=False) == ((2,), 0b11)
+    assert solve_ilp(instance).sentences == (0, 1) == brute_force_solve(instance)[1]
+
+
+def test_warm_started_solver_matches_oracle_on_tie_heavy_batch():
+    # few concepts of equal weight and no relevance: most instances hold several optima
+    rng = random.Random(7)
+    for draw in range(300):
+        n, m = rng.randint(1, 12), rng.randint(1, 8)
+        occurrence = [[int(rng.random() < 0.3) for _ in range(m)] for _ in range(n)]
+        instance = _tiny_instance([rng.randint(0, 3) for _ in range(n)], occurrence,
+                                  [rng.choice([1, 1, 2]) for _ in range(m)],
+                                  budget=rng.randint(0, 10), cap=1 + draw % 6)
+        selection = solve_ilp(instance)
+        assert (selection.objective, selection.sentences) == brute_force_solve(instance)
 
 
 @pytest.mark.parametrize("mutate,message", [

@@ -58,6 +58,13 @@ def test_non_numeric_component_rejected(tmp_path):
         load_vectors(vec, stop)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_component_rejected(tmp_path, value):
+    vec, stop = _write_vectors(tmp_path, f"a 1 0\nb {value} 1\n")
+    with pytest.raises(DimensionMismatch, match="line 2: non-finite"):
+        load_vectors(vec, stop)
+
+
 def test_component_free_row_rejected(tmp_path):
     vec, stop = _write_vectors(tmp_path, "a\n")
     with pytest.raises(DimensionMismatch, match="no components"):
