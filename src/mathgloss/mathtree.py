@@ -221,10 +221,21 @@ class _Parser:
 
 
 def parse_expression(source: str) -> MathTree:
-    """Parse one expression; raises ParseError with the offending position."""
+    """Parse one expression; raises ParseError with the offending position.
+
+    The parser recurses once per nesting level, so an expression nested
+    deeper than the interpreter's recursion limit allows is rejected at the
+    token the parser had reached.
+    """
     if not source.strip():
         raise ParseError(0, "empty expression")
-    return MathTree(_Parser(source).parse())
+    parser = _Parser(source)
+    try:
+        return MathTree(parser.parse())
+    except RecursionError:
+        tok = parser.peek()
+        position = tok.position if tok is not None else len(source)
+        raise ParseError(position, "expression nested too deeply") from None
 
 
 def path_multiset(tree: MathTree) -> Counter:
@@ -244,8 +255,11 @@ def path_multiset(tree: MathTree) -> Counter:
 
 def tree_similarity(a: MathTree, b: MathTree) -> float:
     """Dice overlap of the two path multisets; 1.0 iff the multisets agree."""
-    pa = path_multiset(a)
-    pb = path_multiset(b)
+    return path_similarity(path_multiset(a), path_multiset(b))
+
+
+def path_similarity(pa: Counter, pb: Counter) -> float:
+    """tree_similarity of the trees whose path multisets these are."""
     shared = sum((pa & pb).values())
     total = sum(pa.values()) + sum(pb.values())
     return 2.0 * shared / total

@@ -199,7 +199,7 @@ def cli_run(argv: list[str] | None = None) -> int:
         return 2
     if args.as_json:
         payload = {"description": description.texts, "trace": trace.to_dict()}
-        print(json.dumps(payload, ensure_ascii=False))
+        print(json.dumps(payload, ensure_ascii=False, allow_nan=False))
     else:
         for text in description.texts:
             print(text)

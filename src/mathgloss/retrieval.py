@@ -3,12 +3,22 @@ cosine between the query context and each document's leading paragraph.
 
 The corpus side of the ranking does not depend on the query, so TopicIndex
 computes it once: an inverted index from depth-3 label paths to the math items
-holding them, as in Tangent (Zanibbi et al. 2016), and one lead-paragraph
-vector per document.  A query then touches only the postings of its own paths.
+holding them, as in Tangent (Zanibbi et al. 2016), and one matrix of
+lead-paragraph vectors with their squared norms.  A query then touches only
+the postings of its own paths.
+
+Ranking is filter and refine, as in the threshold algorithm (Fagin, Lotem &
+Naor 2003).  The filter scores every document at once, with one
+matrix-vector product over the precomputed norms; its cosines sum in another
+order than cosine does, so they may differ from the exact ones in the last
+bits.  Every document whose filter score lies within MARGIN of the k-th best
+one, and every document whose norms leave the range where the filter's
+arithmetic holds, is rescored exactly, and only those are sorted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +26,7 @@ import numpy as np
 from .corpus import Corpus, Document, tokenize
 from .errors import EmptyCorpus
 from .mathtree import MathTree, parse_expression, path_multiset
-from .textsim import EmbeddingStore, avg_vector, text_cosine
+from .textsim import EmbeddingStore, approximate_cosines, avg_vector, text_cosine
 
 
 @dataclass(frozen=True)
@@ -47,28 +57,51 @@ def lead_vector(doc: Document, store: EmbeddingStore) -> np.ndarray | None:
     return avg_vector(tokenize(doc.leading_paragraph), store)
 
 
+# A score is tree term + cosine, and the filter computes the same cosine as
+# cosine does with its three dot products summed in another order.  A d-term
+# dot product is off by at most about d*u*|a||b| (u = 2**-53, Cauchy-Schwarz),
+# so while both squared norms and their product are normal floats each
+# filter score is within e = (d + 3)*u of the exact score (every exact score
+# is finite: avg_vector never overflows and |cosine| <= 1): 3e-15 at d = 24.
+# If s is the k-th best filter score, k documents score at least s - e
+# exactly, so a document whose filter score is below s - 2e is beaten by k
+# documents and is not among the k best, ties included.  MARGIN stands for 2e
+# with room to spare: it holds up to about 4 million dimensions.
+MARGIN = 1e-9
+
+
 class TopicIndex:
     """The query-independent half of rank_topics for one corpus and store.
 
     postings maps each label path to a flat list [item, count, item, count,
     ...] over the math items holding it; items are numbered in corpus order,
     sizes holds each item's multiset size and owners its document's number.
+    Row d of leads is document d's lead-paragraph vector, all zeros where
+    has_lead[d] is false because the paragraph had no usable token, and
+    lead_norms[d] its squared norm.
     """
 
     def __init__(self, corpus: Corpus, store: EmbeddingStore):
         self.store = store
         self.titles = corpus.titles
-        self.lead_vectors = [lead_vector(doc, store) for doc in corpus]
+        self.leads = np.zeros((len(self.titles), store.dimension))
+        self.has_lead = np.zeros(len(self.titles), dtype=bool)
         self.postings: dict[tuple[str, ...], list[int]] = {}
         self.sizes: list[int] = []
         self.owners: list[int] = []
         for number, doc in enumerate(corpus):
+            lead = lead_vector(doc, store)
+            if lead is not None:
+                self.leads[number] = lead
+                self.has_lead[number] = True
             for item in doc.math_items:
                 paths = path_multiset(item.tree)
                 for path, count in paths.items():
                     self.postings.setdefault(path, []).extend((len(self.sizes), count))
                 self.sizes.append(paths.total())
                 self.owners.append(number)
+        with np.errstate(over="ignore"):
+            self.lead_norms = np.einsum("ij,ij->i", self.leads, self.leads)
 
     def rank(self, query: Query, k: int) -> list[Topic]:
         """rank_topics over the indexed corpus."""
@@ -76,6 +109,18 @@ class TopicIndex:
             raise ValueError(f"k must be positive, got {k}")
         if not self.titles:
             raise EmptyCorpus("cannot rank topics over an empty corpus")
+        tree_terms = self.tree_terms(query)
+        query_vec = avg_vector(query.context_tokens, self.store)
+        scores: dict[int, float] = {}
+        for d in self.candidates(tree_terms, query_vec, k).tolist():
+            lead = self.leads[d] if self.has_lead[d] else None
+            scores[d] = tree_terms[d] + text_cosine(query_vec, lead)
+        titles = self.titles
+        order = sorted(scores, key=lambda d: (-scores[d], titles[d]))
+        return [Topic(title=titles[d], score=scores[d]) for d in order[:k]]
+
+    def tree_terms(self, query: Query) -> list[float]:
+        """Each document's best Dice overlap between the query and its math items."""
         query_paths = path_multiset(query.expression)
         shared: dict[int, int] = {}
         for path, query_count in query_paths.items():
@@ -90,12 +135,28 @@ class TopicIndex:
             owner = self.owners[item]
             if dice > tree_terms[owner]:
                 tree_terms[owner] = dice
-        query_vec = avg_vector(query.context_tokens, self.store)
-        scores = [tree_term + text_cosine(query_vec, lead_vec)
-                  for tree_term, lead_vec in zip(tree_terms, self.lead_vectors)]
-        titles = self.titles
-        order = sorted(range(len(titles)), key=lambda d: (-scores[d], titles[d]))
-        return [Topic(title=titles[d], score=scores[d]) for d in order[:k]]
+        return tree_terms
+
+    def candidates(self, tree_terms: list[float], query_vec: np.ndarray | None,
+                   k: int) -> np.ndarray:
+        """The numbers of the documents that can be among the k best, ascending.
+
+        These are every document whose filter score is at least the k-th best
+        one minus MARGIN, and every document with a lead vector whose norms
+        leave the normal range, where cosine rescales and the filter's error
+        bound does not hold.
+        """
+        scores = np.array(tree_terms)
+        unsure = np.zeros(len(scores), dtype=bool)
+        if query_vec is not None:
+            cosines, holds = approximate_cosines(self.leads, self.lead_norms, query_vec)
+            # rows without a lead vector have norm 0, so their cosine term stays 0.0
+            scores += np.where(holds, cosines, 0.0)
+            unsure = self.has_lead & ~holds
+            scores[unsure] = -math.inf  # rescored anyway; kept out of the threshold
+        kth = max(len(scores) - k, 0)
+        threshold = np.partition(scores, kth)[kth] - MARGIN
+        return np.flatnonzero((scores >= threshold) | unsure)
 
 
 def rank_topics(query: Query, corpus: Corpus, store: EmbeddingStore, k: int = 3) -> list[Topic]:

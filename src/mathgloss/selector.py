@@ -10,12 +10,15 @@ tenth below / above their seed.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import Document, tokenize
+from .mathtree import path_multiset, path_similarity
 from .retrieval import Query, Topic, lead_vector
 from .textsim import EmbeddingStore, avg_vector, text_cosine
-from .mathtree import tree_similarity
 from .trg import Edge, TopicRelationGraph
 
 logger = logging.getLogger(__name__)
@@ -25,9 +28,16 @@ OFFSET = 0.1
 
 def edge_query_sim(edge: Edge, query: Query, store: EmbeddingStore) -> float:
     """Context cosine plus expression-tree similarity for one edge."""
+    return _edge_sim(edge, avg_vector(query.context_tokens, store),
+                     path_multiset(query.expression), store)
+
+
+def _edge_sim(edge: Edge, query_vec: np.ndarray | None, query_paths: Counter,
+              store: EmbeddingStore) -> float:
+    """edge_query_sim given the query's context vector and path multiset."""
     edge_vec = avg_vector(tokenize(edge.context), store)
-    query_vec = avg_vector(query.context_tokens, store)
-    return text_cosine(edge_vec, query_vec) + tree_similarity(edge.expression, query.expression)
+    return (text_cosine(edge_vec, query_vec)
+            + path_similarity(path_multiset(edge.expression), query_paths))
 
 
 def doc_query_sim(doc: Document, query: Query, store: EmbeddingStore) -> float:
@@ -35,14 +45,15 @@ def doc_query_sim(doc: Document, query: Query, store: EmbeddingStore) -> float:
     return text_cosine(lead_vector(doc, store), avg_vector(query.context_tokens, store))
 
 
-def _argmax_edge(graph: TopicRelationGraph, edges: list[Edge], query: Query,
-                 store: EmbeddingStore, far_end: str) -> Edge | None:
+def _argmax_edge(graph: TopicRelationGraph, edges: list[Edge], query_vec: np.ndarray | None,
+                 query_paths: Counter, store: EmbeddingStore, far_end: str) -> Edge | None:
     best: Edge | None = None
     best_score = 0.0
     for edge in edges:  # build order; strict > keeps the earliest of a tie
         far_title = edge.source if far_end == "source" else edge.target
-        score = (edge_query_sim(edge, query, store)
-                 + doc_query_sim(graph.document(far_title), query, store))
+        far_lead = lead_vector(graph.document(far_title), store)
+        score = (_edge_sim(edge, query_vec, query_paths, store)
+                 + text_cosine(far_lead, query_vec))
         if best is None or score > best_score:
             best, best_score = edge, score
     return best
@@ -57,15 +68,20 @@ def select_relevant(graph: TopicRelationGraph, topics: list[Topic], query: Query
     """
     selected: list[Document] = []
     skipped = 0
+    # the query side of every edge's score, computed once
+    query_vec = avg_vector(query.context_tokens, store)
+    query_paths = path_multiset(query.expression)
     for topic in topics:
         if topic.title not in graph:
             skipped += 1
             continue
         selected.append(graph.document(topic.title))
-        citing = _argmax_edge(graph, graph.inlinks(topic.title), query, store, far_end="source")
+        citing = _argmax_edge(graph, graph.inlinks(topic.title), query_vec, query_paths,
+                              store, far_end="source")
         if citing is not None:
             selected.append(graph.document(citing.source))
-        cited = _argmax_edge(graph, graph.outlinks(topic.title), query, store, far_end="target")
+        cited = _argmax_edge(graph, graph.outlinks(topic.title), query_vec, query_paths,
+                             store, far_end="target")
         if cited is not None:
             selected.append(graph.document(cited.target))
     if skipped:

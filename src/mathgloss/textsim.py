@@ -90,7 +90,9 @@ def avg_vector(tokens, store: EmbeddingStore) -> np.ndarray | None:
     """Mean vector over non-stopword in-vocabulary tokens; None when nothing matches.
 
     Contributing tokens are summed in sorted order so the result does not
-    depend on the ordering of the input list.
+    depend on the ordering of the input list.  Components large enough to
+    overflow that sum are averaged by _mean_without_overflow instead, so the
+    mean of finite vectors is always finite.
     """
     contributing = sorted(
         t for t in tokens if t not in store.stopwords and t in store.vectors
@@ -98,9 +100,27 @@ def avg_vector(tokens, store: EmbeddingStore) -> np.ndarray | None:
     if not contributing:
         return None
     total = np.zeros(store.dimension, dtype=np.float64)
-    for token in contributing:
-        total += store.vectors[token]
+    with np.errstate(over="ignore"):
+        for token in contributing:
+            total += store.vectors[token]
+    if not np.isfinite(total).all():
+        return _mean_without_overflow(np.array([store.vectors[t] for t in contributing]))
     return total / len(contributing)
+
+
+def _mean_without_overflow(rows: np.ndarray) -> np.ndarray:
+    """The mean of finite rows whose plain sum overflows.
+
+    The rows are summed at the power-of-two scale 2**-p with 2**p > len(rows),
+    so no partial sum can reach the largest float; the quotient is scaled back
+    and clipped to the rows' range, which the exact mean never leaves, so a
+    rounding past the largest float cannot make it infinite.
+    """
+    exponent = len(rows).bit_length()
+    scaled = np.ldexp(rows, -exponent).sum(axis=0) / len(rows)
+    with np.errstate(over="ignore"):
+        mean = np.ldexp(scaled, exponent)
+    return np.clip(mean, rows.min(axis=0), rows.max(axis=0))
 
 
 def text_cosine(a: np.ndarray | None, b: np.ndarray | None) -> float:
@@ -132,6 +152,25 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
         aa, bb = float(np.dot(a, a)), float(np.dot(b, b))
     return float(np.dot(a, b)) / math.sqrt(aa * bb)
 
+
+
+def approximate_cosines(rows: np.ndarray, row_norms: np.ndarray,
+                        v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cosine(v, row) for every row of a matrix at once, and where it holds.
+
+    row_norms holds each row's squared norm.  The estimates sum in another
+    order than cosine does.  Where the mask is true, v's squared norm, the
+    row's and their product are normal floats, and an estimate is within
+    about (d + 3) * 2**-53 of cosine for d components; elsewhere cosine
+    rescales and the estimate means nothing.
+    """
+    with np.errstate(all="ignore"):
+        norm = float(np.dot(v, v))
+        products = norm * row_norms
+        estimates = (rows @ v) / np.sqrt(products)
+    holds = ((row_norms >= _TINY) & (products >= _TINY) & (products < math.inf)
+             & (norm >= _TINY))
+    return estimates, holds
 
 def _unit_scaled(v: np.ndarray) -> np.ndarray | None:
     """v times the power of two that puts max|v| in [0.5, 1); None for a zero vector."""

@@ -175,6 +175,12 @@ def test_unparseable_math_source_rejected(tmp_path):
         load_corpus(path)
 
 
+def test_math_source_nested_too_deeply_rejected(tmp_path):
+    source = "(" * 3000 + "a" + ")" * 3000
+    path = _write(tmp_path, [_record(math=[{"source": source, "context": "x", "cites": []}])])
+    with pytest.raises(MalformedRecord, match="line 1: .*nested too deeply"):
+        load_corpus(path)
+
 def test_empty_citation_title_rejected(tmp_path):
     path = _write(tmp_path, [_record(math=[{"source": "a", "context": "x", "cites": [""]}])])
     with pytest.raises(MalformedRecord, match="empty citation"):

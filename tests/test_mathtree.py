@@ -227,3 +227,18 @@ def test_random_tree_generator_round_trips_with_oracle():
     for _ in range(50):
         a, b = random_tree(rng), random_tree(rng)
         assert tree_similarity(a, b) == dice_paths_oracle(a, b)
+
+
+def test_nesting_beyond_the_recursion_limit_is_a_parse_error():
+    source = "(" * 3000 + "a" + ")" * 3000
+    with pytest.raises(ParseError) as excinfo:
+        parse_expression(source)
+    assert excinfo.value.reason == "expression nested too deeply"
+    assert 0 < excinfo.value.position < 3000
+    assert source[excinfo.value.position] == "("
+
+
+def test_moderate_nesting_still_parses_to_the_same_tree():
+    for depth in (1, 20, 100):
+        nested = "(" * depth + "a+{b^2}" + ")" * depth
+        assert parse_expression(nested) == parse_expression("a+{b^2}")

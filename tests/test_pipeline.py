@@ -1,7 +1,9 @@
 """End-to-end pipeline behaviour and the command-line interface."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from mathgloss import PipelineConfig, Query, cli_run, describe
@@ -166,6 +168,14 @@ def test_cli_malformed_corpus_is_data_error(fixture_paths, tmp_path, capsys):
     assert "error:" in err and "line 1" in err
 
 
+def test_cli_expression_nested_too_deeply_is_data_error(fixture_paths, capsys):
+    args = _cli_args(fixture_paths)
+    args[args.index("--expr") + 1] = "(" * 3000 + "a" + ")" * 3000
+    assert cli_run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot parse --expr") and err.count("\n") == 1
+    assert "nested too deeply" in err
+
 @pytest.mark.parametrize("flag", ["--corpus", "--vectors", "--stopwords"])
 def test_cli_file_that_is_not_utf8_is_data_error(fixture_paths, tmp_path, capsys, flag):
     name = flag.lstrip("-")
@@ -187,6 +197,25 @@ def test_cli_json_output(fixture_paths, capsys):
     assert payload["trace"]["selected"] == [1, 3, 6, 7, 13]
     assert payload["trace"]["topics"][0]["title"] == "Pythagorean theorem"
 
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_cli_json_stays_finite_when_vector_sums_overflow(fixture_paths, tmp_path, capsys):
+    # every component at 1.7e308: the sum of two overflows, their mean does not
+    huge = tmp_path / "vectors.txt"
+    rows = fixture_paths["vectors"].read_text(encoding="utf-8").splitlines()
+    huge.write_text("".join(" ".join([row.split()[0]] + ["1.7e308"] * (len(row.split()) - 1))
+                            + "\n" for row in rows if row.strip()), encoding="utf-8")
+    args = _cli_args(fixture_paths, "--json")
+    args[args.index("--vectors") + 1] = str(huge)
+    args[args.index("--context") + 1] = "right triangle hypotenuse legs"
+    with np.errstate(over="ignore"):
+        assert cli_run(args) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert payload["description"]
+    assert all(math.isfinite(t["score"]) for t in payload["trace"]["topics"])
 
 def test_cli_trace_goes_to_stderr(fixture_paths, capsys):
     assert cli_run(_cli_args(fixture_paths, "--trace")) == 0

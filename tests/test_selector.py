@@ -252,3 +252,37 @@ def test_random_timelines_match_oracle():
         expected = timeline_oracle(edges, [t.title for t in topics],
                                    [d.title for d in docs])
         assert [(td.document, td.timestamp) for td in timeline] == expected
+
+
+def _argmax_by_public_scores(graph, edges, query, store, far_end):
+    best, best_score = None, 0.0
+    for edge in edges:
+        far = graph.document(edge.source if far_end == "source" else edge.target)
+        score = edge_query_sim(edge, query, store) + doc_query_sim(far, query, store)
+        if best is None or score > best_score:
+            best, best_score = edge, score
+    return best
+
+
+def test_random_selections_match_argmax_over_public_scores():
+    # select_relevant computes the query side once per call; its picks must be
+    # the ones edge_query_sim + doc_query_sim give edge by edge
+    rng = random.Random(5151)
+    for _ in range(60):
+        corpus = random_corpus(rng, max_docs=12)
+        graph, _ = build_trg(corpus)
+        store, query = random_store(rng), random_query(rng)
+        topics = [Topic(t, 1.0) for t in rng.sample(corpus.titles, 3)]
+        expected = []
+        for topic in topics:
+            expected.append(topic.title)
+            citing = _argmax_by_public_scores(graph, graph.inlinks(topic.title), query,
+                                              store, "source")
+            if citing is not None:
+                expected.append(citing.source)
+            cited = _argmax_by_public_scores(graph, graph.outlinks(topic.title), query,
+                                             store, "target")
+            if cited is not None:
+                expected.append(cited.target)
+        docs = select_relevant(graph, topics, query, store)
+        assert [d.title for d in docs] == expected

@@ -1,6 +1,7 @@
 """Vector loading, token averaging, and cosine behaviour."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -110,6 +111,24 @@ def test_avg_returns_none_when_nothing_contributes():
     assert avg_vector(["the", "zz"], store) is None
     assert avg_vector([], store) is None
 
+
+def test_avg_of_rows_whose_sum_overflows_is_their_finite_mean():
+    big = sys.float_info.max
+    store = _store({"a": (1.7e308, -1.0), "b": (1.7e308, 3.0), "c": (big, -big),
+                    "d": (big, -big), "e": (big, -big)})
+    assert avg_vector(["a", "b"], store).tolist() == [1.7e308, 1.0]
+    assert avg_vector(["c", "d", "e"], store).tolist() == [big, -big]
+
+
+@given(st.lists(st.tuples(st.floats(min_value=1e307, max_value=sys.float_info.max),
+                          st.floats(min_value=-1e308, max_value=1e308)),
+                min_size=2, max_size=9))
+def test_avg_stays_finite_and_within_the_rows(rows):
+    store = _store({f"w{i}": row for i, row in enumerate(rows)})
+    mean = avg_vector(list(store.vectors), store)
+    assert np.isfinite(mean).all()
+    for column, value in zip(zip(*rows), mean.tolist()):
+        assert min(column) <= value <= max(column)
 
 def test_avg_is_order_invariant_bitwise(store):
     tokens = ["triangle", "geometry", "theorem", "fibonacci", "probability",
