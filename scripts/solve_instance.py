@@ -2,7 +2,8 @@
 
 The JSON layout is the one written by ``mathgloss.summarizer.dump_instance``:
 sentence texts, token lengths, bigram concepts with weights and relevances,
-the 0/1 occurrence matrix, the word budget, and the sentence cap.
+each sentence's covered concept indices in ascending order (``covers``), the
+word budget, and the sentence cap.
 
 Usage:  python3 scripts/solve_instance.py INSTANCE.json [--max-nodes N]
 """

@@ -154,6 +154,18 @@ def _parse_record(raw: object, line_number: int) -> Document:
                     sentences=sentences, math_items=tuple(math_items))
 
 
+def _reject_lone_surrogates(doc: Document, line_number: int) -> None:
+    """A string with half a surrogate pair cannot be written out as UTF-8."""
+    text = "\n".join([doc.id, doc.title, doc.leading_paragraph,
+                      *(s.text for s in doc.sentences),
+                      *(t for m in doc.math_items for t in (m.source, m.context, *m.cites))])
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        surrogate = ord(text[exc.start])
+        raise MalformedRecord(line_number, f"lone surrogate \\u{surrogate:04x} in a string") from exc
+
+
 def numbered_lines(fh: TextIO, name: str | Path) -> Iterator[tuple[int, str]]:
     """(line number, line) pairs of a text stream; bytes that are not UTF-8 are a data error."""
     try:
@@ -179,7 +191,13 @@ def read_corpus(fh: TextIO, name: str | Path) -> Corpus:
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedRecord(line_number, f"invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # an integer past Python's digit limit
+            raise MalformedRecord(line_number, "invalid JSON: integer has too many digits") from exc
+        except RecursionError as exc:
+            raise MalformedRecord(line_number, "invalid JSON: nested too deeply") from exc
         doc = _parse_record(raw, line_number)
+        if "\\u" in line:  # only a \u escape can bring in a lone surrogate
+            _reject_lone_surrogates(doc, line_number)
         if doc.title in documents:
             raise DuplicateTitle(doc.title)
         if doc.id in seen_ids:

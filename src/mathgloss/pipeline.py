@@ -23,6 +23,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .errors import MathGlossError, ParseError, QueryParseError
 from .index import corpus_index
 from .retrieval import Query, Topic
@@ -86,19 +88,22 @@ def describe(query: Query, config: PipelineConfig) -> tuple[Description, Trace]:
     """Run every stage for one query and return the description with its trace.
 
     The query-independent stages come from the cached index of the three input
-    files, which is rebuilt only when their bytes change.
+    files, which is rebuilt only when their bytes change.  Numpy's overflow
+    warnings are off: a squared norm that overflows is expected, and cosine
+    rescales rather than use it.
     """
-    index = corpus_index(config.corpus_path, config.vectors_path, config.stopwords_path)
-    store, graph = index.store, index.graph
-    topics = index.topics.rank(query, config.k_topics)
-    documents = select_relevant(graph, topics, query, store)
-    timeline = extract_timeline(graph, topics, documents)
-    ordered_docs = [index.corpus.get(td.document) for td in timeline]
-    pool, concepts = extract_concepts(ordered_docs, query, store)
-    instance = build_instance(pool, concepts, config.max_words,
-                              config.max_sentences, store.stopwords)
-    selection = solve_ilp(instance, max_nodes=config.solver_max_nodes)
-    description = order_sentences(selection, pool, timeline)
+    with np.errstate(over="ignore"):
+        index = corpus_index(config.corpus_path, config.vectors_path, config.stopwords_path)
+        store, graph = index.store, index.graph
+        topics = index.topics.rank(query, config.k_topics)
+        documents = select_relevant(graph, topics, query, store)
+        timeline = extract_timeline(graph, topics, documents)
+        ordered_docs = [index.corpus.get(td.document) for td in timeline]
+        pool, concepts = extract_concepts(ordered_docs, query, store)
+        instance = build_instance(pool, concepts, config.max_words,
+                                  config.max_sentences, store.stopwords)
+        selection = solve_ilp(instance, max_nodes=config.solver_max_nodes)
+        description = order_sentences(selection, pool, timeline)
     trace = Trace(
         topics=topics,
         documents=[d.title for d in documents],

@@ -5,7 +5,7 @@ sentences forces exactly the concepts they contain, so the 0-1 program
 
     maximize   sum_i (weight_i + relevance_i) * c_i
     subject to sum_j length_j * s_j <= budget,   sum_j s_j <= cap,
-               s_j * occ[j][i] <= c_i,           sum_j s_j * occ[j][i] >= c_i
+               s_j <= c_i for i in covers[j],    sum_{j : i in covers[j]} s_j >= c_i
 
 reduces to searching over sentence subsets.  The solver is one exact branch
 and bound whose nodes are feasible subsets; a child adds one later sentence, so
@@ -69,7 +69,7 @@ class IlpInstance:
     sentences: list[str]
     lengths: list[int]
     concepts: list[Concept]
-    occurrence: list[list[int]]  # occurrence[sentence][concept] in {0, 1}
+    covers: list[tuple[int, ...]]  # covers[j]: sentence j's concept indices, ascending
     budget: int
     sentence_cap: int
 
@@ -137,18 +137,14 @@ def extract_concepts(docs: list[Document], query: Query,
 def build_instance(pool: list[PoolSentence], concepts: list[Concept],
                    budget: int, sentence_cap: int, stopwords) -> IlpInstance:
     index = {c.bigram: i for i, c in enumerate(concepts)}
-    occurrence = []
-    for ps in pool:
-        row = [0] * len(concepts)
-        for bigram in sentence_bigrams(ps.tokens, stopwords):
-            if bigram in index:
-                row[index[bigram]] = 1
-        occurrence.append(row)
+    covers = [tuple(sorted({index[b] for b in sentence_bigrams(ps.tokens, stopwords)
+                            if b in index}))
+              for ps in pool]
     return IlpInstance(
         sentences=[ps.text for ps in pool],
         lengths=[ps.word_length for ps in pool],
         concepts=list(concepts),
-        occurrence=occurrence,
+        covers=covers,
         budget=budget,
         sentence_cap=sentence_cap,
     )
@@ -156,12 +152,11 @@ def build_instance(pool: list[PoolSentence], concepts: list[Concept],
 
 def _validate_instance(instance: IlpInstance) -> None:
     n, m = len(instance.lengths), len(instance.concepts)
-    if len(instance.sentences) != n or len(instance.occurrence) != n:
+    if len(instance.sentences) != n or len(instance.covers) != n:
         raise ValueError("sentence fields disagree on length")
-    if any(len(row) != m for row in instance.occurrence):
-        raise ValueError("occurrence rows disagree with the concept count")
-    if any(v not in (0, 1) for row in instance.occurrence for v in row):
-        raise ValueError("occurrence entries must be 0 or 1")
+    for row in instance.covers:
+        if not all(isinstance(i, int) and 0 <= i < m for i in row) or list(row) != sorted(set(row)):
+            raise ValueError("covers rows must hold distinct ascending concept indices in range")
     if any(l < 0 for l in instance.lengths):
         raise ValueError("negative sentence length")
     if instance.budget < 0 or instance.sentence_cap < 0:
@@ -200,8 +195,7 @@ class _Search:
         self.cap = instance.sentence_cap
         self.coefficients = [c.weight + c.relevance for c in instance.concepts]
         self.positive = [max(c, 0.0) for c in self.coefficients]
-        self.masks = [sum(1 << i for i, v in enumerate(row) if v)
-                      for row in instance.occurrence]
+        self.masks = [sum(1 << i for i in row) for row in instance.covers]
         self.n = len(self.lengths)
         # far above the rounding error of any plain float sum the bound makes
         self.slack = 1e-9 * math.fsum(abs(c) for c in self.coefficients)
@@ -330,13 +324,12 @@ def verify_selection(instance: IlpInstance, selection: Selection) -> None:
         raise ValueError("word budget exceeded")
     if len(chosen) > instance.sentence_cap:
         raise ValueError("sentence cap exceeded")
-    picked_set = set(picked)
-    for i in range(m):
-        covered = any(instance.occurrence[j][i] for j in chosen)
-        if covered and i not in picked_set:
-            raise ValueError(f"concept {i} is covered but not selected")
-        if not covered and i in picked_set:
-            raise ValueError(f"concept {i} is selected but uncovered")
+    covered = set().union(*(instance.covers[j] for j in chosen))
+    mismatched = covered.symmetric_difference(picked)
+    if mismatched:
+        i = min(mismatched)
+        state = "covered but not selected" if i in covered else "selected but uncovered"
+        raise ValueError(f"concept {i} is {state}")
     expected = math.fsum(
         instance.concepts[i].weight + instance.concepts[i].relevance for i in picked
     )
@@ -376,7 +369,7 @@ def instance_to_dict(instance: IlpInstance) -> dict:
         "concepts": [list(c.bigram) for c in instance.concepts],
         "weights": [c.weight for c in instance.concepts],
         "relevances": [c.relevance for c in instance.concepts],
-        "occurrence": [list(row) for row in instance.occurrence],
+        "covers": [list(row) for row in instance.covers],
         "budget": instance.budget,
         "sentence_cap": instance.sentence_cap,
     }
@@ -391,7 +384,7 @@ def instance_from_dict(data: dict) -> IlpInstance:
         sentences=list(data["sentences"]),
         lengths=list(data["lengths"]),
         concepts=concepts,
-        occurrence=[list(row) for row in data["occurrence"]],
+        covers=[tuple(row) for row in data["covers"]],
         budget=data["budget"],
         sentence_cap=data["sentence_cap"],
     )

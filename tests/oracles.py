@@ -37,11 +37,10 @@ def brute_force_solve(instance: IlpInstance) -> tuple[float, tuple[int, ...]]:
     coeff = [c.weight + c.relevance for c in instance.concepts]
     n, m = len(instance.lengths), len(coeff)
     masks = []
-    for row in instance.occurrence:
+    for row in instance.covers:
         mask = 0
-        for i in range(m):
-            if row[i]:
-                mask |= 1 << i
+        for i in row:
+            mask |= 1 << i
         masks.append(mask)
     best_obj = -math.inf
     best_combo: tuple[int, ...] | None = None
@@ -61,7 +60,7 @@ def brute_force_solve(instance: IlpInstance) -> tuple[float, tuple[int, ...]]:
 def check_selection(instance: IlpInstance, selection) -> list[str]:
     """Re-verify a finished Selection from the instance alone."""
     problems = []
-    n, m = len(instance.lengths), len(instance.concepts)
+    n = len(instance.lengths)
     chosen = list(selection.sentences)
     if chosen != sorted(set(chosen)) or any(j < 0 or j >= n for j in chosen):
         problems.append("sentence indices not sorted, unique, and in range")
@@ -70,8 +69,7 @@ def check_selection(instance: IlpInstance, selection) -> list[str]:
         problems.append("word budget exceeded")
     if len(chosen) > instance.sentence_cap:
         problems.append("sentence cap exceeded")
-    covered = {i for i in range(m)
-               if any(instance.occurrence[j][i] for j in chosen)}
+    covered = {i for j in chosen for i in instance.covers[j]}
     if covered != set(selection.concepts):
         problems.append("concept choices disagree with sentence coverage")
     expected = math.fsum(instance.concepts[i].weight + instance.concepts[i].relevance
@@ -87,11 +85,10 @@ def random_instance(rng: random.Random, max_sentences: int = 12,
     n = rng.randint(1, max_sentences)
     m = rng.randint(1, max_concepts)
     lengths = [rng.randint(1, 12) for _ in range(n)]
-    occurrence = [[1 if rng.random() < 0.35 else 0 for _ in range(m)]
-                  for _ in range(n)]
+    covers = [{i for i in range(m) if rng.random() < 0.35} for _ in range(n)]
     for i in range(m):  # every concept must occur somewhere in the pool
-        if not any(row[i] for row in occurrence):
-            occurrence[rng.randrange(n)][i] = 1
+        if not any(i in row for row in covers):
+            covers[rng.randrange(n)].add(i)
     concepts = [Concept(bigram=(f"w{2 * i}", f"w{2 * i + 1}"),
                         weight=rng.randint(1, 5),
                         relevance=rng.uniform(-1.0, 1.0))
@@ -102,7 +99,7 @@ def random_instance(rng: random.Random, max_sentences: int = 12,
     else:
         budget = rng.randint(0, total + 5)  # sometimes slack
     return IlpInstance(sentences=[f"s{j}" for j in range(n)], lengths=lengths,
-                       concepts=concepts, occurrence=occurrence,
+                       concepts=concepts, covers=[tuple(sorted(row)) for row in covers],
                        budget=budget, sentence_cap=rng.randint(1, n))
 
 

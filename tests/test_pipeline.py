@@ -1,13 +1,19 @@
 """End-to-end pipeline behaviour and the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
-import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mathgloss import PipelineConfig, Query, cli_run, describe
-from mathgloss.pipeline import main
+from mathgloss.pipeline import _build_parser, main
 
 GOLDEN_ARGS = [
     "--expr", "a^2+b^2=c^2",
@@ -202,20 +208,78 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-def test_cli_json_stays_finite_when_vector_sums_overflow(fixture_paths, tmp_path, capsys):
-    # every component at 1.7e308: the sum of two overflows, their mean does not
+def _overflowing_vectors_args(fixture_paths, tmp_path, *extra):
+    """CLI arguments whose vector file has every component at 1.7e308: the sum
+    of two overflows, and so does every squared norm, but no mean does."""
     huge = tmp_path / "vectors.txt"
     rows = fixture_paths["vectors"].read_text(encoding="utf-8").splitlines()
     huge.write_text("".join(" ".join([row.split()[0]] + ["1.7e308"] * (len(row.split()) - 1))
                             + "\n" for row in rows if row.strip()), encoding="utf-8")
-    args = _cli_args(fixture_paths, "--json")
+    args = _cli_args(fixture_paths, *extra)
     args[args.index("--vectors") + 1] = str(huge)
     args[args.index("--context") + 1] = "right triangle hypotenuse legs"
-    with np.errstate(over="ignore"):
-        assert cli_run(args) == 0
+    return args
+
+
+def test_cli_json_stays_finite_when_vector_sums_overflow(fixture_paths, tmp_path, capsys):
+    assert cli_run(_overflowing_vectors_args(fixture_paths, tmp_path, "--json")) == 0
     payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert payload["description"]
     assert all(math.isfinite(t["score"]) for t in payload["trace"]["topics"])
+
+
+def test_cli_prints_no_warning_when_squared_norms_overflow(fixture_paths, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would go to stderr
+        assert cli_run(_overflowing_vectors_args(fixture_paths, tmp_path)) == 0
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
+
+
+_FIXTURE_FILES = {name: (Path(__file__).parent / "fixtures" / f"{name}.{ext}").read_bytes()
+                  for name, ext in (("corpus", "jsonl"), ("vectors", "txt"),
+                                    ("stopwords", "txt"))}
+_CORPUS_LINES = _FIXTURE_FILES["corpus"].decode("utf-8").splitlines()
+
+
+def _with_lone_surrogate(field: str) -> str:
+    """The first fixture record (the golden query's top topic) with a lone
+    surrogate opening its title or first sentence, written as a \\u escape."""
+    record = json.loads(_CORPUS_LINES[0])
+    if field == "title":
+        record["title"] = "\ud800" + record["title"]
+    else:
+        record["sentences"][0] = "\ud800 " + record["sentences"][0]
+    return json.dumps(record)
+
+
+def _corpus_with_first_line(line: str) -> bytes:
+    return "".join(l + "\n" for l in [line, *_CORPUS_LINES[1:]]).encode("utf-8")
+
+
+# corpus lines that are valid JSON text but hold what Python cannot load or print
+_BAD_FIRST_LINES = {
+    "nested": ("[" * 100_000, "invalid JSON: nested too deeply"),
+    "digits": ('{"id": ' + "9" * 5000 + "}", "invalid JSON: integer has too many digits"),
+    "surrogate in a title": (_with_lone_surrogate("title"), "lone surrogate \\ud800"),
+    "surrogate in a sentence": (_with_lone_surrogate("sentences"), "lone surrogate \\ud800"),
+}
+
+
+@pytest.mark.parametrize("output", [[], ["--json"]], ids=["plain", "json"])
+@pytest.mark.parametrize("case", list(_BAD_FIRST_LINES))
+def test_cli_corpus_line_python_cannot_hold_is_data_error(fixture_paths, tmp_path, capsys,
+                                                          case, output):
+    line, reason = _BAD_FIRST_LINES[case]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(_corpus_with_first_line(line))
+    args = _cli_args(fixture_paths, *output)
+    args[args.index("--corpus") + 1] = str(corpus)
+    assert cli_run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: line 1: {reason}")
+    assert captured.err.count("\n") == 1
 
 def test_cli_trace_goes_to_stderr(fixture_paths, capsys):
     assert cli_run(_cli_args(fixture_paths, "--trace")) == 0
@@ -244,3 +308,125 @@ def test_main_wraps_cli(fixture_paths, monkeypatch, capsys):
         main()
     assert excinfo.value.code == 0
     assert capsys.readouterr().out == "".join(line + "\n" for line in GOLDEN_LINES)
+
+
+# --------------------------------------------------------------------------
+# CLI contract under arbitrary flags and file bytes
+
+_ARG_TEXT = st.text(st.characters(blacklist_characters="\x00"), max_size=12)  # argv holds no NUL
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _spliced(base: bytes):
+    """base with a slice replaced by random bytes, or random bytes alone."""
+    return st.one_of(
+        st.tuples(st.integers(0, len(base)), st.integers(0, 16), st.binary(max_size=16)).map(
+            lambda cut: base[:cut[0]] + cut[2] + base[cut[0] + cut[1]:]),
+        st.binary(max_size=64))
+
+
+@st.composite
+def _edited_record(draw):
+    """The fixture corpus with one field of one record, or of its first math
+    item, replaced by an arbitrary JSON value."""
+    lines = list(_CORPUS_LINES)
+    at = draw(st.integers(0, len(lines) - 1))
+    record = json.loads(lines[at])
+    target = record
+    if record["math"] and draw(st.booleans()):
+        target = record["math"][0]
+    target[draw(st.sampled_from(sorted(target)))] = draw(_JSON)
+    lines[at] = json.dumps(record)
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+@st.composite
+def _input_files(draw):
+    """The fixture files as (corpus, vectors, stopwords) bytes, at most one damaged."""
+    files = dict(_FIXTURE_FILES)
+    damaged = draw(st.sampled_from([None, None, None, "corpus", "vectors", "stopwords"]))
+    if damaged == "corpus":
+        files[damaged] = draw(st.one_of(_spliced(files[damaged]), _edited_record()))
+    elif damaged:
+        files[damaged] = draw(_spliced(files[damaged]))
+    return files["corpus"], files["vectors"], files["stopwords"]
+
+
+def _mostly(usual, unusual):
+    """Draw from usual three times in four, else from unusual."""
+    return st.sampled_from([usual, usual, usual, unusual]).flatmap(lambda strategy: strategy)
+
+
+# caps of at most 6 sentences keep every fixture query within a tenth of a second
+_OPTIONS = st.lists(st.one_of(
+    st.tuples(st.just("--k"), st.sampled_from(["3", "1", "2", "5", "12", "13", "0"])),
+    st.tuples(st.just("--max-sentences"), st.sampled_from(["5", "0", "1", "3", "6", "-1"])),
+    st.tuples(st.just("--max-words"), st.sampled_from(["130", "0", "1", "20", "400", "-1"]))),
+    max_size=3)
+_OUTPUT = st.sampled_from([[("--json",)], [], [("--trace",)], [("--json",), ("--trace",)]])
+_STRAY = st.tuples(_ARG_TEXT) | st.tuples(
+    st.sampled_from(["--k", "--max-words", "--max-sentences", "--expr", "--context"]), _ARG_TEXT)
+_ARGV_TAIL = st.tuples(_OPTIONS, _OUTPUT, _mostly(st.just([]), _STRAY.map(lambda s: [s]))).map(
+    lambda parts: [token for part in parts for option in part for token in option])
+
+
+def _run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """cli_run with stdout and stderr encoded as a terminal would: stdout UTF-8
+    strict, stderr with backslash escapes.  SystemExit (from --help) counts as
+    an exit with its code."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out.flush()
+    err.flush()
+    return code, out.buffer.getvalue().decode("utf-8"), err.buffer.getvalue().decode("utf-8")
+
+
+def _bad_first_line(case: str, options: list[str]) -> dict:
+    corpus = _corpus_with_first_line(_BAD_FIRST_LINES[case][0])
+    return dict(files=(corpus, _FIXTURE_FILES["vectors"], _FIXTURE_FILES["stopwords"]),
+                expr=GOLDEN_ARGS[1], context=GOLDEN_ARGS[3], options=options)
+
+
+@given(files=_input_files(),
+       expr=_mostly(st.sampled_from([GOLDEN_ARGS[1], "a+b>c", "x", "F_{n+2}=F_{n+1}+F_n",
+                                     "(" * 500 + "x"]), _ARG_TEXT),
+       context=_mostly(st.just(GOLDEN_ARGS[3]), _ARG_TEXT),
+       options=_ARGV_TAIL)
+@example(**_bad_first_line("nested", []))
+@example(**_bad_first_line("digits", ["--json"]))
+@example(**_bad_first_line("surrogate in a title", ["--json"]))
+@example(**_bad_first_line("surrogate in a sentence", []))
+def test_cli_contract_holds_for_any_flags_and_file_bytes(files, expr, context, options):
+    with tempfile.TemporaryDirectory() as directory:
+        argv = []
+        for name, data in zip(("corpus", "vectors", "stopwords"), files):
+            path = Path(directory) / name
+            path.write_bytes(data)
+            argv += [f"--{name}", str(path)]
+        argv += ["--expr", expr, "--context", context, *options]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # would print on stderr
+            code, out, err = _run_cli(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+    elif code == 1:
+        assert out == "" and err.startswith("usage: ") and "\nerror: " in err
+    elif out.startswith("usage:"):  # --help
+        assert err == ""
+    else:
+        args = _build_parser().parse_args(argv)
+        if args.as_json:
+            payload = json.loads(out, parse_constant=_reject_constant)
+            assert set(payload) == {"description", "trace"}
+        if not args.trace or args.as_json:
+            assert err == ""

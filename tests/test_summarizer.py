@@ -138,7 +138,7 @@ def test_build_instance_matrix():
     assert [c.bigram for c in instance.concepts] == [
         ("fibonacci", "numbers"), ("numbers", "grow"), ("grow", "fast"),
     ]
-    assert instance.occurrence == [[1, 1, 0], [0, 1, 1]]
+    assert instance.covers == [(0, 1), (1, 2)]
     assert instance.lengths == [3, 3]
     assert instance.budget == 10
     assert instance.sentence_cap == 2
@@ -159,14 +159,15 @@ def test_lengths_count_stopwords_too():
 # --------------------------------------------------------------------------
 # exact solver
 
-def _tiny_instance(lengths, occurrence, weights, budget, cap, relevances=None):
+def _tiny_instance(lengths, rows, weights, budget, cap, relevances=None):
+    """An instance whose sentence j covers concept i where rows[j][i] is 1."""
     m = len(weights)
     relevances = relevances or [0.0] * m
     concepts = [Concept(bigram=(f"a{i}", f"b{i}"), weight=weights[i],
                         relevance=relevances[i]) for i in range(m)]
     return IlpInstance(sentences=[f"s{j}" for j in range(len(lengths))],
                        lengths=list(lengths), concepts=concepts,
-                       occurrence=[list(row) for row in occurrence],
+                       covers=[tuple(i for i, v in enumerate(row) if v) for row in rows],
                        budget=budget, sentence_cap=cap)
 
 
@@ -233,8 +234,8 @@ def test_solver_takes_worthwhile_longer_combination():
 def _disjoint_instance(weights, budget, cap):
     """Sentence j has one word and covers concept j alone."""
     n = len(weights)
-    occurrence = [[int(i == j) for i in range(n)] for j in range(n)]
-    return _tiny_instance([1] * n, occurrence, weights, budget, cap)
+    rows = [[int(i == j) for i in range(n)] for j in range(n)]
+    return _tiny_instance([1] * n, rows, weights, budget, cap)
 
 
 def test_node_budget_exhaustion_raises():
@@ -261,8 +262,8 @@ def test_warm_started_solver_matches_oracle_on_tie_heavy_batch():
     rng = random.Random(7)
     for draw in range(300):
         n, m = rng.randint(1, 12), rng.randint(1, 8)
-        occurrence = [[int(rng.random() < 0.3) for _ in range(m)] for _ in range(n)]
-        instance = _tiny_instance([rng.randint(0, 3) for _ in range(n)], occurrence,
+        rows = [[int(rng.random() < 0.3) for _ in range(m)] for _ in range(n)]
+        instance = _tiny_instance([rng.randint(0, 3) for _ in range(n)], rows,
                                   [rng.choice([1, 1, 2]) for _ in range(m)],
                                   budget=rng.randint(0, 10), cap=1 + draw % 6)
         selection = solve_ilp(instance)
@@ -270,8 +271,14 @@ def test_warm_started_solver_matches_oracle_on_tie_heavy_batch():
 
 
 @pytest.mark.parametrize("mutate,message", [
-    (lambda inst: inst.occurrence[0].__setitem__(0, 2), "0 or 1"),
-    (lambda inst: inst.occurrence.__setitem__(0, [0]), "concept count"),
+    pytest.param(lambda inst: inst.covers.__setitem__(0, (0, 2)), "ascending concept indices",
+                 id="out of range"),
+    pytest.param(lambda inst: inst.covers.__setitem__(0, (1, 0)), "ascending concept indices",
+                 id="unsorted"),
+    pytest.param(lambda inst: inst.covers.__setitem__(0, (1, 1)), "ascending concept indices",
+                 id="duplicate"),
+    pytest.param(lambda inst: inst.covers.__setitem__(0, (0.0,)), "ascending concept indices",
+                 id="not an integer"),
     (lambda inst: setattr(inst, "budget", -1), "non-negative"),
     (lambda inst: inst.lengths.__setitem__(0, -2), "negative"),
     (lambda inst: inst.sentences.pop(), "disagree on length"),
@@ -289,9 +296,12 @@ def test_verify_selection_rejects_corrupted_results():
     tight = _tiny_instance([3, 4], [[1, 0], [0, 1]], [5, 5], budget=1, cap=2)
     with pytest.raises(ValueError, match="budget"):
         verify_selection(tight, good)
-    with pytest.raises(ValueError, match="covered but not selected"):
+    with pytest.raises(ValueError, match="concept 0 is covered but not selected"):
         verify_selection(instance, Selection(sentences=good.sentences,
                                              concepts=(), objective=0.0))
+    with pytest.raises(ValueError, match="concept 1 is selected but uncovered"):
+        verify_selection(instance, Selection(sentences=(0,), concepts=(0, 1),
+                                             objective=good.objective))
     with pytest.raises(ValueError, match="objective"):
         verify_selection(instance, Selection(sentences=good.sentences,
                                              concepts=good.concepts,
@@ -359,14 +369,14 @@ def _instances(draw, max_sentences=8, max_concepts=10):
     n = draw(st.integers(1, max_sentences))
     m = draw(st.integers(1, max_concepts))
     lengths = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
-    occurrence = draw(st.lists(
+    rows = draw(st.lists(
         st.lists(st.integers(0, 1), min_size=m, max_size=m),
         min_size=n, max_size=n))
     weights = draw(st.lists(_WEIGHTS, min_size=m, max_size=m))
     relevances = draw(st.lists(_RELEVANCES, min_size=m, max_size=m))
     budget = draw(st.integers(0, 40))
     cap = draw(st.integers(0, n))
-    return _tiny_instance(lengths, occurrence, weights, budget, cap, relevances)
+    return _tiny_instance(lengths, rows, weights, budget, cap, relevances)
 
 
 @given(_instances())
@@ -451,5 +461,6 @@ def test_instance_dict_schema():
     instance = _tiny_instance([3], [[1, 0]], [1, 2], budget=5, cap=1)
     data = instance_to_dict(instance)
     assert set(data) == {"sentences", "lengths", "concepts", "weights",
-                         "relevances", "occurrence", "budget", "sentence_cap"}
+                         "relevances", "covers", "budget", "sentence_cap"}
+    assert data["covers"] == [[0]]
     assert instance_from_dict(data) == instance
