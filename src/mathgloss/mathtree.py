@@ -2,10 +2,17 @@
 plus a path-multiset similarity between two trees.
 
 The grammar is deliberately narrow: single-letter identifiers, integer
-literals, binary + - * /, superscript/subscript, fractions, relations
-(= < > | \\le \\ge \\ne), grouping with braces or parentheses, and a prefix
-minus/plus so forms such as (-1)^{n-1} parse.  Any unrecognised \\command
-becomes a leaf symbol carrying the command name.
+literals, relations (= < > | \\le \\ge \\ne), sums and differences, explicit
+products (* /), implicit products by juxtaposition, superscripts and
+subscripts, fractions, and grouping with braces or parentheses.  Any
+unrecognised \\command becomes a leaf symbol carrying the command name.
+
+Binding order, loosest first: relations, sums, products, juxtaposition,
+scripts.  Every level is left-associative, so a^b^c is (a^b)^c and a<b<c is
+(a<b)<c.  A prefix sign may open an expression, follow a relation or follow
+an opening bracket, and binds looser than any product: -ab is -(a·b) and
+a=-b parses, so forms such as (-1)^{n-1} do, but a+-b fails at the second
+sign.
 """
 
 from __future__ import annotations
@@ -20,10 +27,23 @@ PATH_DEPTH = 3
 
 IMPLICIT_MUL = "·"
 
-_RELATIONS = {"=", "<", ">", "|", "le", "ge", "ne"}
-_ADDITIVE = {"+", "-"}
-_MULTIPLICATIVE = {"*", "/"}
-_POSTFIX = {"^", "_"}
+# token kind of each single-character operator and bracket
+_KINDS = {"(": "LPAREN", ")": "RPAREN", "{": "LBRACE", "}": "RBRACE",
+          **dict.fromkeys("+-*/^_=<>|", "OP")}
+_NAMED_RELATIONS = ("le", "ge", "ne")
+
+# binary operators by level, loosest first; None marks juxtaposition
+_LEVELS = (
+    frozenset("=<>|").union(_NAMED_RELATIONS),
+    frozenset("+-"),
+    frozenset("*/"),
+    None,
+    frozenset("^_"),
+)
+_SIGNED = 1  # the level whose operators may also stand as a prefix sign
+_ATOM_STARTS = frozenset({"SYMBOL", "NUMBER", "COMMAND", "LPAREN", "LBRACE"})
+# each opening bracket's closing token kind, and how an error names it
+_CLOSERS = {"LPAREN": ("RPAREN", "')'"), "LBRACE": ("RBRACE", "'}'")}
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,12 +66,13 @@ class MathTree:
 
 @dataclass(frozen=True, slots=True)
 class _Token:
-    kind: str  # SYMBOL NUMBER COMMAND OP LPAREN RPAREN LBRACE RBRACE
+    kind: str  # SYMBOL NUMBER COMMAND OP LPAREN RPAREN LBRACE RBRACE END
     value: str
     position: int
 
 
 def _lex(source: str) -> list[_Token]:
+    """Tokens of source, ending with an END token at len(source)."""
     tokens = []
     i, n = 0, len(source)
     while i < n:
@@ -59,165 +80,93 @@ def _lex(source: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
+        j = i + 1
         if ch.isalpha():
             tokens.append(_Token("SYMBOL", ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
+        elif ch.isdigit():
             while j < n and source[j].isdigit():
                 j += 1
             tokens.append(_Token("NUMBER", source[i:j], i))
-            i = j
-            continue
-        if ch == "\\":
-            j = i + 1
+        elif ch == "\\":
             while j < n and source[j].isalpha():
                 j += 1
             name = source[i + 1 : j]
             if not name:
                 raise ParseError(i, "backslash without a command name")
-            if name in ("le", "ge", "ne"):
-                tokens.append(_Token("OP", name, i))
-            else:
-                tokens.append(_Token("COMMAND", name, i))
-            i = j
-            continue
-        if ch in "+-*/^_=<>|":
-            tokens.append(_Token("OP", ch, i))
-        elif ch == "(":
-            tokens.append(_Token("LPAREN", ch, i))
-        elif ch == ")":
-            tokens.append(_Token("RPAREN", ch, i))
-        elif ch == "{":
-            tokens.append(_Token("LBRACE", ch, i))
-        elif ch == "}":
-            tokens.append(_Token("RBRACE", ch, i))
+            tokens.append(_Token("OP" if name in _NAMED_RELATIONS else "COMMAND", name, i))
+        elif ch in _KINDS:
+            tokens.append(_Token(_KINDS[ch], ch, i))
         else:
             raise ParseError(i, f"unexpected character {ch!r}")
-        i += 1
+        i = j
+    tokens.append(_Token("END", "", n))
     return tokens
 
 
 class _Parser:
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _lex(source)
         self.pos = 0
 
-    def peek(self) -> _Token | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return None
-
-    def take(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(len(self.source), "unexpected end of expression")
+    def expect(self, kind: str, what: str) -> None:
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
+            raise ParseError(tok.position, f"expected {what}")
         self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            at = tok.position if tok else len(self.source)
-            raise ParseError(at, f"expected {what}")
-        return self.take()
 
     def parse(self) -> MathNode:
-        node = self.relation()
-        tok = self.peek()
-        if tok is not None:
+        node = self.binary(0)
+        tok = self.tokens[self.pos]
+        if tok.kind != "END":
             raise ParseError(tok.position, f"unexpected token {tok.value!r}")
         return node
 
-    def relation(self) -> MathNode:
-        left = self.additive()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "OP" or tok.value not in _RELATIONS:
-                return left
-            op = self.take()
-            right = self.additive()
-            left = MathNode(op.value, (left, right))
-
-    def additive(self) -> MathNode:
-        tok = self.peek()
-        if tok is not None and tok.kind == "OP" and tok.value in _ADDITIVE:
-            # prefix sign: binds looser than any product, e.g. -ab is -(a.b)
-            op = self.take()
-            left = MathNode(op.value, (self.multiplicative(),))
+    def binary(self, level: int) -> MathNode:
+        """A left-associative chain of the operators of _LEVELS[level]."""
+        operators = _LEVELS[level]
+        # the last level calls atom directly, so a nesting level costs six frames
+        atoms = level == len(_LEVELS) - 1
+        tok = self.tokens[self.pos]
+        if level == _SIGNED and tok.kind == "OP" and tok.value in operators:
+            self.pos += 1
+            left = MathNode(tok.value, (self.binary(level + 1),))
         else:
-            left = self.multiplicative()
+            left = self.atom() if atoms else self.binary(level + 1)
         while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "OP" or tok.value not in _ADDITIVE:
+            tok = self.tokens[self.pos]
+            if operators is None:
+                if tok.kind not in _ATOM_STARTS:
+                    return left
+                label = IMPLICIT_MUL
+            elif tok.kind == "OP" and tok.value in operators:
+                self.pos += 1
+                label = tok.value
+            else:
                 return left
-            op = self.take()
-            right = self.multiplicative()
-            left = MathNode(op.value, (left, right))
-
-    def multiplicative(self) -> MathNode:
-        left = self.implicit()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "OP" or tok.value not in _MULTIPLICATIVE:
-                return left
-            op = self.take()
-            right = self.implicit()
-            left = MathNode(op.value, (left, right))
-
-    def implicit(self) -> MathNode:
-        left = self.postfix()
-        while self._starts_atom(self.peek()):
-            right = self.postfix()
-            left = MathNode(IMPLICIT_MUL, (left, right))
-        return left
-
-    def postfix(self) -> MathNode:
-        base = self.atom()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != "OP" or tok.value not in _POSTFIX:
-                return base
-            op = self.take()
-            script = self.atom()
-            base = MathNode(op.value, (base, script))
-
-    @staticmethod
-    def _starts_atom(tok: _Token | None) -> bool:
-        return tok is not None and tok.kind in ("SYMBOL", "NUMBER", "COMMAND", "LPAREN", "LBRACE")
+            right = self.atom() if atoms else self.binary(level + 1)
+            left = MathNode(label, (left, right))
 
     def atom(self) -> MathNode:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(len(self.source), "missing operand")
-        if tok.kind in ("SYMBOL", "NUMBER"):
-            self.take()
-            return MathNode(tok.value)
-        if tok.kind == "COMMAND":
-            self.take()
-            if tok.value == "frac":
-                self.expect("LBRACE", "'{' after \\frac")
-                numerator = self.relation()
-                self.expect("RBRACE", "'}' closing the numerator")
-                self.expect("LBRACE", "'{' before the denominator")
-                denominator = self.relation()
-                self.expect("RBRACE", "'}' closing the denominator")
-                return MathNode("frac", (numerator, denominator))
-            # any other command is an opaque leaf symbol
-            return MathNode(tok.value)
-        if tok.kind == "LPAREN":
-            self.take()
-            inner = self.relation()
-            self.expect("RPAREN", "')'")
+        tok = self.tokens[self.pos]
+        if tok.kind not in _ATOM_STARTS:
+            if tok.kind == "END":
+                raise ParseError(tok.position, "missing operand")
+            raise ParseError(tok.position, f"missing operand before {tok.value!r}")
+        self.pos += 1
+        if tok.kind in _CLOSERS:
+            inner = self.binary(0)
+            self.expect(*_CLOSERS[tok.kind])
             return inner
-        if tok.kind == "LBRACE":
-            self.take()
-            inner = self.relation()
-            self.expect("RBRACE", "'}'")
-            return inner
-        raise ParseError(tok.position, f"missing operand before {tok.value!r}")
+        if tok.kind == "COMMAND" and tok.value == "frac":
+            self.expect("LBRACE", "'{' after \\frac")
+            numerator = self.binary(0)
+            self.expect("RBRACE", "'}' closing the numerator")
+            self.expect("LBRACE", "'{' before the denominator")
+            denominator = self.binary(0)
+            self.expect("RBRACE", "'}' closing the denominator")
+            return MathNode("frac", (numerator, denominator))
+        # a symbol, a number, or any other command as an opaque leaf
+        return MathNode(tok.value)
 
 
 def parse_expression(source: str) -> MathTree:
@@ -233,8 +182,7 @@ def parse_expression(source: str) -> MathTree:
     try:
         return MathTree(parser.parse())
     except RecursionError:
-        tok = parser.peek()
-        position = tok.position if tok is not None else len(source)
+        position = parser.tokens[parser.pos].position
         raise ParseError(position, "expression nested too deeply") from None
 
 

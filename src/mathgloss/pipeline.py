@@ -37,6 +37,10 @@ DEFAULT_TOPICS = 3
 DEFAULT_MAX_WORDS = 130
 DEFAULT_MAX_SENTENCES = 5
 
+# every character str.splitlines breaks at, escaped so an error stays on one line
+_LINE_BREAKS = str.maketrans({ch: ch.encode("unicode_escape").decode("ascii")
+                              for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
 
 @dataclass
 class PipelineConfig:
@@ -180,7 +184,7 @@ def cli_run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(parser.format_usage(), end="", file=sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return 1
     config = PipelineConfig(
         corpus_path=args.corpus,
@@ -196,11 +200,8 @@ def cli_run(argv: list[str] | None = None) -> int:
         except ParseError as exc:
             raise QueryParseError(f"cannot parse --expr: {exc}") from exc
         description, trace = describe(query, config)
-    except MathGlossError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (MathGlossError, OSError) as exc:
+        print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return 2
     if args.as_json:
         payload = {"description": description.texts, "trace": trace.to_dict()}

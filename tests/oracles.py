@@ -12,16 +12,217 @@ import itertools
 import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from mathgloss import Corpus, Document, Query, Topic
 from mathgloss.corpus import Sentence, tokenize
 from mathgloss.corpus import MathItem
-from mathgloss.errors import EmptyCorpus
-from mathgloss.mathtree import PATH_DEPTH, MathNode, MathTree, parse_expression, tree_similarity
+from mathgloss.errors import EmptyCorpus, ParseError
+from mathgloss.mathtree import (IMPLICIT_MUL, PATH_DEPTH, MathNode, MathTree, parse_expression,
+                               tree_similarity)
 from mathgloss.summarizer import Concept, IlpInstance
 from mathgloss.textsim import EmbeddingStore, avg_vector, cosine
+
+
+# --------------------------------------------------------------------------
+# expression parser oracle: one method per binding level, no end-of-input
+# token, so every look-ahead checks for the end of the token list
+
+_RELATIONS = {"=", "<", ">", "|", "le", "ge", "ne"}
+_ADDITIVE = {"+", "-"}
+_MULTIPLICATIVE = {"*", "/"}
+_POSTFIX = {"^", "_"}
+
+
+@dataclass(frozen=True, slots=True)
+class _Token:
+    kind: str  # SYMBOL NUMBER COMMAND OP LPAREN RPAREN LBRACE RBRACE
+    value: str
+    position: int
+
+
+def _lex(source: str) -> list[_Token]:
+    tokens = []
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isalpha():
+            tokens.append(_Token("SYMBOL", ch, i))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and source[j].isdigit():
+                j += 1
+            tokens.append(_Token("NUMBER", source[i:j], i))
+            i = j
+            continue
+        if ch == "\\":
+            j = i + 1
+            while j < n and source[j].isalpha():
+                j += 1
+            name = source[i + 1 : j]
+            if not name:
+                raise ParseError(i, "backslash without a command name")
+            if name in ("le", "ge", "ne"):
+                tokens.append(_Token("OP", name, i))
+            else:
+                tokens.append(_Token("COMMAND", name, i))
+            i = j
+            continue
+        if ch in "+-*/^_=<>|":
+            tokens.append(_Token("OP", ch, i))
+        elif ch == "(":
+            tokens.append(_Token("LPAREN", ch, i))
+        elif ch == ")":
+            tokens.append(_Token("RPAREN", ch, i))
+        elif ch == "{":
+            tokens.append(_Token("LBRACE", ch, i))
+        elif ch == "}":
+            tokens.append(_Token("RBRACE", ch, i))
+        else:
+            raise ParseError(i, f"unexpected character {ch!r}")
+        i += 1
+    return tokens
+
+
+class _Parser:
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _lex(source)
+        self.pos = 0
+
+    def peek(self) -> _Token | None:
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos]
+        return None
+
+    def take(self) -> _Token:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError(len(self.source), "unexpected end of expression")
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> _Token:
+        tok = self.peek()
+        if tok is None or tok.kind != kind:
+            at = tok.position if tok else len(self.source)
+            raise ParseError(at, f"expected {what}")
+        return self.take()
+
+    def parse(self) -> MathNode:
+        node = self.relation()
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(tok.position, f"unexpected token {tok.value!r}")
+        return node
+
+    def relation(self) -> MathNode:
+        left = self.additive()
+        while True:
+            tok = self.peek()
+            if tok is None or tok.kind != "OP" or tok.value not in _RELATIONS:
+                return left
+            op = self.take()
+            right = self.additive()
+            left = MathNode(op.value, (left, right))
+
+    def additive(self) -> MathNode:
+        tok = self.peek()
+        if tok is not None and tok.kind == "OP" and tok.value in _ADDITIVE:
+            # prefix sign: binds looser than any product, e.g. -ab is -(a.b)
+            op = self.take()
+            left = MathNode(op.value, (self.multiplicative(),))
+        else:
+            left = self.multiplicative()
+        while True:
+            tok = self.peek()
+            if tok is None or tok.kind != "OP" or tok.value not in _ADDITIVE:
+                return left
+            op = self.take()
+            right = self.multiplicative()
+            left = MathNode(op.value, (left, right))
+
+    def multiplicative(self) -> MathNode:
+        left = self.implicit()
+        while True:
+            tok = self.peek()
+            if tok is None or tok.kind != "OP" or tok.value not in _MULTIPLICATIVE:
+                return left
+            op = self.take()
+            right = self.implicit()
+            left = MathNode(op.value, (left, right))
+
+    def implicit(self) -> MathNode:
+        left = self.postfix()
+        while self._starts_atom(self.peek()):
+            right = self.postfix()
+            left = MathNode(IMPLICIT_MUL, (left, right))
+        return left
+
+    def postfix(self) -> MathNode:
+        base = self.atom()
+        while True:
+            tok = self.peek()
+            if tok is None or tok.kind != "OP" or tok.value not in _POSTFIX:
+                return base
+            op = self.take()
+            script = self.atom()
+            base = MathNode(op.value, (base, script))
+
+    @staticmethod
+    def _starts_atom(tok: _Token | None) -> bool:
+        return tok is not None and tok.kind in ("SYMBOL", "NUMBER", "COMMAND", "LPAREN", "LBRACE")
+
+    def atom(self) -> MathNode:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError(len(self.source), "missing operand")
+        if tok.kind in ("SYMBOL", "NUMBER"):
+            self.take()
+            return MathNode(tok.value)
+        if tok.kind == "COMMAND":
+            self.take()
+            if tok.value == "frac":
+                self.expect("LBRACE", "'{' after \\frac")
+                numerator = self.relation()
+                self.expect("RBRACE", "'}' closing the numerator")
+                self.expect("LBRACE", "'{' before the denominator")
+                denominator = self.relation()
+                self.expect("RBRACE", "'}' closing the denominator")
+                return MathNode("frac", (numerator, denominator))
+            # any other command is an opaque leaf symbol
+            return MathNode(tok.value)
+        if tok.kind == "LPAREN":
+            self.take()
+            inner = self.relation()
+            self.expect("RPAREN", "')'")
+            return inner
+        if tok.kind == "LBRACE":
+            self.take()
+            inner = self.relation()
+            self.expect("RBRACE", "'}'")
+            return inner
+        raise ParseError(tok.position, f"missing operand before {tok.value!r}")
+
+
+def parse_expression_oracle(source: str) -> MathTree:
+    """parse_expression as a recursive-descent parser with one method per level."""
+    if not source.strip():
+        raise ParseError(0, "empty expression")
+    parser = _Parser(source)
+    try:
+        return MathTree(parser.parse())
+    except RecursionError:
+        tok = parser.peek()
+        position = tok.position if tok is not None else len(source)
+        raise ParseError(position, "expression nested too deeply") from None
 
 
 # --------------------------------------------------------------------------

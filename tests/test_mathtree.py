@@ -4,14 +4,14 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mathgloss.errors import ParseError
 from mathgloss.mathtree import (IMPLICIT_MUL, MathNode, MathTree,
                                 parse_expression, path_multiset,
                                 tree_similarity)
-from oracles import dice_paths_oracle, random_tree
+from oracles import dice_paths_oracle, parse_expression_oracle, random_tree
 
 
 def leaf(label):
@@ -72,9 +72,19 @@ def test_unknown_command_becomes_leaf():
     assert parse_expression("\\alpha").root == leaf("alpha")
 
 
+def test_scripts_of_scripts_chain_left():
+    expected = MathNode("^", (MathNode("^", (leaf("a"), leaf("b"))), leaf("c")))
+    assert parse_expression("a^b^c").root == expected
+
+
 def test_relations_chain_left():
     expected = MathNode("=", (MathNode("=", (leaf("a"), leaf("b"))), leaf("c")))
     assert parse_expression("a=b=c").root == expected
+
+
+def test_mixed_relations_chain_left():
+    expected = MathNode("<", (MathNode("<", (leaf("a"), leaf("b"))), leaf("c")))
+    assert parse_expression("a<b<c").root == expected
 
 
 def test_named_relation():
@@ -85,6 +95,15 @@ def test_prefix_sign_in_power():
     expected = MathNode("^", (MathNode("-", (leaf("1"),)),
                               MathNode("-", (leaf("n"), leaf("1")))))
     assert parse_expression("(-1)^{n-1}").root == expected
+
+
+def test_prefix_sign_binds_looser_than_a_product():
+    expected = MathNode("-", (MathNode(IMPLICIT_MUL, (leaf("a"), leaf("b"))),))
+    assert parse_expression("-ab").root == expected
+
+
+def test_prefix_sign_after_a_relation():
+    assert parse_expression("a=-b").root == MathNode("=", (leaf("a"), MathNode("-", (leaf("b"),))))
 
 
 def test_conditional_bar_is_a_relation():
@@ -123,6 +142,7 @@ def test_parse_is_deterministic():
     ("\\frac x", 6),
     ("\\", 0),
     ("*a", 0),
+    ("a+-b", 2),  # a sign only opens an expression or follows a relation or bracket
 ])
 def test_rejected_expressions_carry_position(source, position):
     with pytest.raises(ParseError) as excinfo:
@@ -242,3 +262,70 @@ def test_moderate_nesting_still_parses_to_the_same_tree():
     for depth in (1, 20, 100):
         nested = "(" * depth + "a+{b^2}" + ")" * depth
         assert parse_expression(nested) == parse_expression("a+{b^2}")
+
+
+# --------------------------------------------------------------------------
+# agreement with the oracle parser
+
+_ATOMS = st.sampled_from(["a", "b", "x", "F", "1", "42", "\\alpha", "\\pi "])
+_BINARY = st.sampled_from(["=", "<", ">", "|", "\\le ", "\\ge ", "\\ne ",
+                           "+", "-", "*", "/", "^", "_", "", " "])
+_EXPRESSIONS = st.recursive(
+    _ATOMS,
+    lambda inner: (st.tuples(inner, _BINARY, inner).map("".join)
+                   | st.tuples(st.sampled_from(["-", "+"]), inner).map("".join)
+                   | inner.map(lambda e: f"({e})")
+                   | inner.map(lambda e: f"{{{e}}}")
+                   | st.tuples(inner, inner).map(lambda p: f"\\frac{{{p[0]}}}{{{p[1]}}}")),
+    max_leaves=12)
+_EDIT_CHARACTERS = st.sampled_from(list("+-*/^_=<>|(){}\\ a1&"))
+
+
+@st.composite
+def _near_grammatical(draw):
+    """A grammar-drawn expression, half the time with one character inserted or deleted."""
+    source = draw(_EXPRESSIONS)
+    edit = draw(st.sampled_from([None, None, "insert", "delete"]))
+    if edit == "insert":
+        at = draw(st.integers(0, len(source)))
+        source = source[:at] + draw(_EDIT_CHARACTERS) + source[at:]
+    elif edit == "delete":
+        at = draw(st.integers(0, len(source) - 1))
+        source = source[:at] + source[at + 1:]
+    return source
+
+
+@settings(max_examples=2000)
+@given(_near_grammatical())
+def test_parser_agrees_with_the_oracle(source):
+    try:
+        expected = parse_expression_oracle(source)
+    except ParseError as exc:
+        assume(exc.reason != "expression nested too deeply")
+        with pytest.raises(ParseError) as excinfo:
+            parse_expression(source)
+        assert (excinfo.value.position, excinfo.value.reason) == (exc.position, exc.reason)
+    else:
+        assert parse_expression(source) == expected
+
+
+def _parse_nested(parse, depth):
+    """parse of depth parentheses around a+{b^2}; None if nested too deeply."""
+    try:
+        return parse("(" * depth + "a+{b^2}" + ")" * depth)
+    except ParseError as exc:
+        assert exc.reason == "expression nested too deeply"
+        return None
+
+
+def test_nesting_reach_matches_the_oracle():
+    low, high = 0, 3000  # the oracle parses low parentheses deep, not high
+    assert _parse_nested(parse_expression_oracle, high) is None
+    while high - low > 1:
+        mid = (low + high) // 2
+        if _parse_nested(parse_expression_oracle, mid) is None:
+            high = mid
+        else:
+            low = mid
+    deepest = _parse_nested(parse_expression, low)  # called at the oracle's call depth
+    assert deepest == _parse_nested(parse_expression_oracle, low) == parse_expression("a+{b^2}")

@@ -390,26 +390,46 @@ def _run_cli(argv: list[str]) -> tuple[int, str, str]:
     return code, out.buffer.getvalue().decode("utf-8"), err.buffer.getvalue().decode("utf-8")
 
 
-def _bad_first_line(case: str, options: list[str]) -> dict:
-    corpus = _corpus_with_first_line(_BAD_FIRST_LINES[case][0])
+def _is_one_error_line(text: str) -> bool:
+    return text.startswith("error: ") and text.endswith("\n") and len(text.splitlines()) == 1
+
+
+def _cli_case(corpus: bytes, options: list[str], corpus_name: str = "corpus") -> dict:
     return dict(files=(corpus, _FIXTURE_FILES["vectors"], _FIXTURE_FILES["stopwords"]),
-                expr=GOLDEN_ARGS[1], context=GOLDEN_ARGS[3], options=options)
+                expr=GOLDEN_ARGS[1], context=GOLDEN_ARGS[3], options=options,
+                corpus_name=corpus_name)
+
+
+def _bad_first_line(case: str, options: list[str]) -> dict:
+    return _cli_case(_corpus_with_first_line(_BAD_FIRST_LINES[case][0]), options)
+
+
+def _stray_argument(text: str) -> dict:
+    return _cli_case(_FIXTURE_FILES["corpus"], [text])
+
+
+def _not_utf8_corpus_named(name: str) -> dict:
+    return _cli_case(b"\xff\xfe\n", [], corpus_name=name)
 
 
 @given(files=_input_files(),
        expr=_mostly(st.sampled_from([GOLDEN_ARGS[1], "a+b>c", "x", "F_{n+2}=F_{n+1}+F_n",
                                      "(" * 500 + "x"]), _ARG_TEXT),
        context=_mostly(st.just(GOLDEN_ARGS[3]), _ARG_TEXT),
-       options=_ARGV_TAIL)
+       options=_ARGV_TAIL,
+       corpus_name=_mostly(st.just("corpus"), st.sampled_from(["cor\npus", "\x85corpus\u2028"])))
 @example(**_bad_first_line("nested", []))
 @example(**_bad_first_line("digits", ["--json"]))
 @example(**_bad_first_line("surrogate in a title", ["--json"]))
 @example(**_bad_first_line("surrogate in a sentence", []))
-def test_cli_contract_holds_for_any_flags_and_file_bytes(files, expr, context, options):
+@example(**_stray_argument("a\nb"))
+@example(**_not_utf8_corpus_named("cor\npus"))
+def test_cli_contract_holds_for_any_flags_and_file_bytes(files, expr, context, options,
+                                                         corpus_name):
     with tempfile.TemporaryDirectory() as directory:
         argv = []
         for name, data in zip(("corpus", "vectors", "stopwords"), files):
-            path = Path(directory) / name
+            path = Path(directory) / (corpus_name if name == "corpus" else name)
             path.write_bytes(data)
             argv += [f"--{name}", str(path)]
         argv += ["--expr", expr, "--context", context, *options]
@@ -418,9 +438,10 @@ def test_cli_contract_holds_for_any_flags_and_file_bytes(files, expr, context, o
             code, out, err = _run_cli(argv)
     assert code in (0, 1, 2)
     if code == 2:
-        assert out == "" and err.startswith("error: ")
+        assert out == "" and _is_one_error_line(err)
     elif code == 1:
-        assert out == "" and err.startswith("usage: ") and "\nerror: " in err
+        usage, _, error = err.partition("\nerror: ")
+        assert out == "" and usage.startswith("usage: ") and _is_one_error_line("error: " + error)
     elif out.startswith("usage:"):  # --help
         assert err == ""
     else:
