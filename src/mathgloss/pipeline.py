@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,30 +55,24 @@ class PipelineConfig:
 
 @dataclass
 class Trace:
-    topics: list[Topic] = field(default_factory=list)
-    documents: list[str] = field(default_factory=list)
-    timeline: list[TimestampedDoc] = field(default_factory=list)
-    graph_report: BuildReport | None = None
-    pool_size: int = 0
-    concept_count: int = 0
-    budget: int = 0
-    sentence_cap: int = 0
-    selected: tuple[int, ...] = ()
-    objective: float = 0.0
+    topics: list[Topic]
+    documents: list[str]
+    timeline: list[TimestampedDoc]
+    graph_report: BuildReport
+    pool_size: int
+    concept_count: int
+    budget: int
+    sentence_cap: int
+    selected: tuple[int, ...]
+    objective: float
 
     def to_dict(self) -> dict:
+        """The trace as JSON-ready values; --json and --trace both print this."""
         return {
-            "topics": [{"title": t.title, "score": t.score} for t in self.topics],
+            "topics": [asdict(t) for t in self.topics],
             "documents": list(self.documents),
-            "timeline": [
-                {"document": td.document, "timestamp": td.timestamp}
-                for td in self.timeline
-            ],
-            "graph": {
-                "edges_kept": self.graph_report.edges_kept,
-                "dangling_dropped": self.graph_report.dangling_dropped,
-                "self_dropped": self.graph_report.self_dropped,
-            } if self.graph_report else None,
+            "timeline": [asdict(td) for td in self.timeline],
+            "graph": asdict(self.graph_report),
             "pool_size": self.pool_size,
             "concept_count": self.concept_count,
             "budget": self.budget,
@@ -163,21 +157,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _print_trace(trace: Trace, stream) -> None:
-    print("topics:", file=stream)
-    for topic in trace.topics:
-        print(f"  {topic.title}\t{topic.score:.6f}", file=stream)
-    print("documents:", file=stream)
-    for title in trace.documents:
-        print(f"  {title}", file=stream)
-    print("timeline:", file=stream)
-    for td in trace.timeline:
-        stamp = "-" if td.timestamp is None else f"{td.timestamp:.1f}"
-        print(f"  {stamp}\t{td.document}", file=stream)
-    print(f"pool: {trace.pool_size} sentences, {trace.concept_count} concepts", file=stream)
-    print(f"selected: {list(trace.selected)} objective {trace.objective:.6f}", file=stream)
-
-
 def cli_run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -195,12 +174,15 @@ def cli_run(argv: list[str] | None = None) -> int:
         max_sentences=args.max_sentences,
     )
     try:
+        for flag in ("corpus", "vectors", "stopwords"):  # open() would raise ValueError
+            if "\0" in getattr(args, flag):
+                raise OSError(f"--{flag}: file name holds a null byte")
         try:
             query = Query.parse(args.expr, args.context)
         except ParseError as exc:
             raise QueryParseError(f"cannot parse --expr: {exc}") from exc
         description, trace = describe(query, config)
-    except (MathGlossError, OSError) as exc:
+    except (MathGlossError, OSError, UnicodeEncodeError) as exc:  # open() on a lone surrogate
         print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return 2
     if args.as_json:
@@ -209,8 +191,9 @@ def cli_run(argv: list[str] | None = None) -> int:
     else:
         for text in description.texts:
             print(text)
-        if args.trace:
-            _print_trace(trace, sys.stderr)
+        if args.trace:  # one line per entry: ensure_ascii escapes every line break
+            for key, value in trace.to_dict().items():
+                print(f"{key}: {json.dumps(value)}", file=sys.stderr)
     return 0
 
 

@@ -90,9 +90,10 @@ def avg_vector(tokens, store: EmbeddingStore) -> np.ndarray | None:
     """Mean vector over non-stopword in-vocabulary tokens; None when nothing matches.
 
     Contributing tokens are summed in sorted order so the result does not
-    depend on the ordering of the input list.  Components large enough to
-    overflow that sum are averaged by _mean_without_overflow instead, so the
-    mean of finite vectors is always finite.
+    depend on the ordering of the input list.  The fallback works column by
+    column: only a component whose sum overflows is averaged by
+    _mean_without_overflow instead, so the mean of finite vectors is always
+    finite and every other component is the plain quotient of its sum.
     """
     contributing = sorted(
         t for t in tokens if t not in store.stopwords and t in store.vectors
@@ -103,9 +104,12 @@ def avg_vector(tokens, store: EmbeddingStore) -> np.ndarray | None:
     with np.errstate(over="ignore"):
         for token in contributing:
             total += store.vectors[token]
-    if not np.isfinite(total).all():
-        return _mean_without_overflow(np.array([store.vectors[t] for t in contributing]))
-    return total / len(contributing)
+    mean = total / len(contributing)
+    overflowed = np.isinf(total)  # finite rows never sum to NaN
+    if overflowed.any():
+        rows = np.array([store.vectors[t] for t in contributing])
+        mean[overflowed] = _mean_without_overflow(rows[:, overflowed])
+    return mean
 
 
 def _mean_without_overflow(rows: np.ndarray) -> np.ndarray:

@@ -157,6 +157,21 @@ def test_cli_missing_corpus_file_is_data_error(fixture_paths, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# file names that open() rejects with ValueError before it reaches the file system
+_NAMES_OPEN_REJECTS = ["\ud800", "cor\x00pus"]
+
+
+@pytest.mark.parametrize("flag", ["corpus", "vectors", "stopwords"])
+@pytest.mark.parametrize("name", _NAMES_OPEN_REJECTS, ids=["lone surrogate", "null byte"])
+def test_cli_file_name_open_rejects_is_data_error(fixture_paths, capsys, flag, name):
+    args = _cli_args(fixture_paths)
+    args[args.index(f"--{flag}") + 1] = name
+    assert cli_run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
 def test_cli_malformed_expression_is_data_error(fixture_paths, capsys):
     args = _cli_args(fixture_paths)
     args[args.index("--expr") + 1] = "a+"
@@ -289,6 +304,46 @@ def test_cli_trace_goes_to_stderr(fixture_paths, capsys):
     assert "selected: [1, 3, 6, 7, 13]" in captured.err
 
 
+def _trace_entries(err: str) -> list[tuple[str, object]]:
+    """The --trace lines on stderr as (key, decoded JSON value) pairs, in order."""
+    entries = []
+    for line in err.splitlines():
+        key, separator, value = line.partition(": ")
+        assert separator, line
+        entries.append((key, json.loads(value)))
+    return entries
+
+
+# titles of the golden query's three topics, each broken by a str.splitlines line break
+_BROKEN_TITLES = {"Pythagorean theorem": "Pythagorean\ntheorem",
+                  "Right triangle": "Right\x85triangle",
+                  "Euclidean geometry": "Euclidean\u2028geometry"}
+
+
+def _corpus_with_titles(renamed: dict[str, str]) -> bytes:
+    records = [json.loads(line) for line in _CORPUS_LINES]
+    for record in records:
+        record["title"] = renamed.get(record["title"], record["title"])
+        for item in record["math"]:
+            item["cites"] = [renamed.get(c, c) for c in item["cites"]]
+    return "".join(json.dumps(record) + "\n" for record in records).encode("utf-8")
+
+
+@pytest.mark.parametrize("renamed", [{}, _BROKEN_TITLES], ids=["fixture", "line breaks"])
+def test_cli_trace_prints_each_to_dict_entry_on_one_line(fixture_paths, golden_query,
+                                                         tmp_path, capsys, renamed):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(_corpus_with_titles(renamed))
+    args = _cli_args(fixture_paths, "--trace")
+    args[args.index("--corpus") + 1] = str(corpus)
+    assert cli_run(args) == 0
+    entries = _trace_entries(capsys.readouterr().err)
+    _, trace = describe(golden_query, _config({**fixture_paths, "corpus": corpus}))
+    assert entries == list(trace.to_dict().items())
+    assert [t.title for t in trace.topics] == [renamed.get(title, title) for title in (
+        "Pythagorean theorem", "Right triangle", "Euclidean geometry")]
+
+
 def test_cli_honours_tighter_limits(fixture_paths, capsys):
     assert cli_run(_cli_args(fixture_paths, "--max-words", "20",
                              "--max-sentences", "1")) == 0
@@ -417,20 +472,24 @@ def _not_utf8_corpus_named(name: str) -> dict:
                                      "(" * 500 + "x"]), _ARG_TEXT),
        context=_mostly(st.just(GOLDEN_ARGS[3]), _ARG_TEXT),
        options=_ARGV_TAIL,
-       corpus_name=_mostly(st.just("corpus"), st.sampled_from(["cor\npus", "\x85corpus\u2028"])))
+       corpus_name=_mostly(st.just("corpus"), st.sampled_from(["cor\npus", "\x85corpus\u2028",
+                                                               *_NAMES_OPEN_REJECTS])))
 @example(**_bad_first_line("nested", []))
 @example(**_bad_first_line("digits", ["--json"]))
 @example(**_bad_first_line("surrogate in a title", ["--json"]))
 @example(**_bad_first_line("surrogate in a sentence", []))
 @example(**_stray_argument("a\nb"))
 @example(**_not_utf8_corpus_named("cor\npus"))
+@example(**_cli_case(_FIXTURE_FILES["corpus"], [], corpus_name="\ud800"))
+@example(**_cli_case(_FIXTURE_FILES["corpus"], ["--trace"], corpus_name="cor\x00pus"))
 def test_cli_contract_holds_for_any_flags_and_file_bytes(files, expr, context, options,
                                                          corpus_name):
     with tempfile.TemporaryDirectory() as directory:
         argv = []
         for name, data in zip(("corpus", "vectors", "stopwords"), files):
             path = Path(directory) / (corpus_name if name == "corpus" else name)
-            path.write_bytes(data)
+            if path.name not in _NAMES_OPEN_REJECTS:  # no file can have such a name
+                path.write_bytes(data)
             argv += [f"--{name}", str(path)]
         argv += ["--expr", expr, "--context", context, *options]
         with warnings.catch_warnings():
@@ -451,3 +510,7 @@ def test_cli_contract_holds_for_any_flags_and_file_bytes(files, expr, context, o
             assert set(payload) == {"description", "trace"}
         if not args.trace or args.as_json:
             assert err == ""
+        else:
+            assert [key for key, _ in _trace_entries(err)] == [
+                "topics", "documents", "timeline", "graph", "pool_size", "concept_count",
+                "budget", "sentence_cap", "selected", "objective"]

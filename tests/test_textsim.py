@@ -124,6 +124,8 @@ def test_avg_of_rows_whose_sum_overflows_is_their_finite_mean():
                           st.floats(min_value=-1e308, max_value=1e308)),
                 min_size=2, max_size=9))
 @example([(4.4668836181829024e+307, 0.0)] * 3)  # 3x / 3 rounds one ulp below x
+@example([(1e307, 5e-324), (6.563516109994806e307, 0.0),  # only column 0 overflows;
+          (1.0413415238628353e308, 5e-324)])              # column 1 keeps its plain mean
 def test_avg_stays_finite_and_within_the_rows(rows):
     # A finite running sum takes the plain path, whose mean may round just
     # outside the rows (three rows of 0.1 average to 0.10000000000000002); only
