@@ -14,6 +14,6 @@ from .summarizer import (Concept, Description, IlpInstance, PoolSentence,
                          Selection, build_instance, extract_concepts,
                          order_sentences, solve_ilp, verify_selection)
 from .textsim import EmbeddingStore, avg_vector, cosine, load_stopwords, load_vectors
-from .trg import BuildReport, Edge, TopicRelationGraph, build_trg, export_edges
+from .trg import BuildReport, Edge, TopicRelationGraph, build_trg
 
 __version__ = "0.1.0"

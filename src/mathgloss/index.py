@@ -1,14 +1,14 @@
 """The query-independent half of describe, built once per input and reused.
 
 A CorpusIndex holds everything a query over the same three input files
-shares: the corpus, the vector store, the topic relation graph and the
-ranking index (retrieval.TopicIndex).  corpus_index keeps the last index it
-built in one module-level slot, keyed by the SHA-256 digests of the three
-files' bytes.  Each call hashes the files again, in chunks, so a rewritten
-file is always read afresh, whatever its size or modification time.  The
-index is built from the very bytes its key was hashed from: the files are
-hashed as they are parsed.  At most one index is alive: the old one is
-released before its successor is built.
+shares: the vector store, the topic relation graph (a view over the parsed
+corpus, graph.corpus) and the ranking index (retrieval.TopicIndex).
+corpus_index keeps the last index it built in one module-level slot, keyed by
+the SHA-256 digests of the three files' bytes.  Each call hashes the files
+again, in chunks, so a rewritten file is always read afresh, whatever its size
+or modification time.  The index is built from the very bytes its key was
+hashed from: the files are hashed as they are parsed.  At most one index is
+alive: the old one is released before its successor is built.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, TypeVar
 
-from .corpus import Corpus, read_corpus
+from .corpus import read_corpus
 from .retrieval import TopicIndex
 from .textsim import EmbeddingStore, read_stopwords, read_vectors
 from .trg import BuildReport, TopicRelationGraph, build_trg
@@ -31,7 +31,6 @@ T = TypeVar("T")
 @dataclass(frozen=True)
 class CorpusIndex:
     digests: tuple[bytes, bytes, bytes]  # corpus, vectors, stopwords
-    corpus: Corpus
     store: EmbeddingStore
     graph: TopicRelationGraph
     report: BuildReport
@@ -80,7 +79,7 @@ def build_index(corpus_path: str | Path, vectors_path: str | Path,
     store = EmbeddingStore(dimension=dimension, vectors=vectors, stopwords=stopwords)
     graph, report = build_trg(corpus)
     return CorpusIndex(digests=(corpus_digest, vectors_digest, stopwords_digest),
-                       corpus=corpus, store=store, graph=graph, report=report,
+                       store=store, graph=graph, report=report,
                        topics=TopicIndex(corpus, store))
 
 

@@ -4,15 +4,7 @@ Stages: load corpus and vectors, rank topics for the query, build the
 citation graph, select documents, extract the timeline, mine bigram concepts,
 solve the coverage program, and order the chosen sentences.
 
-Loading, the graph and the corpus side of ranking do not depend on the query,
-so describe takes them from a cached index (index.corpus_index).  The cache
-holds one entry, keyed by the content of the three input files: a process
-that queries the same files again skips that work, and any change to their
-bytes builds a new index.  The entry keeps the parsed corpus, the vectors,
-the graph and the ranking index alive between calls: about 35 MB of Python
-objects for 10k short documents, 17 MB for 2k paper-length ones.  That is
-less than loading the same files took before tokens were interned, and the
-old entry is released before a new one is built.
+The query-independent stages come from a cached index; index.py describes it.
 """
 
 from __future__ import annotations
@@ -22,8 +14,6 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .errors import MathGlossError, ParseError, QueryParseError
 from .index import corpus_index
@@ -86,22 +76,19 @@ def describe(query: Query, config: PipelineConfig) -> tuple[Description, Trace]:
     """Run every stage for one query and return the description with its trace.
 
     The query-independent stages come from the cached index of the three input
-    files, which is rebuilt only when their bytes change.  Numpy's overflow
-    warnings are off: a squared norm that overflows is expected, and cosine
-    rescales rather than use it.
+    files, which is rebuilt only when their bytes change.
     """
-    with np.errstate(over="ignore"):
-        index = corpus_index(config.corpus_path, config.vectors_path, config.stopwords_path)
-        store, graph = index.store, index.graph
-        topics = index.topics.rank(query, config.k_topics)
-        documents = select_relevant(graph, topics, query, store)
-        timeline = extract_timeline(graph, topics, documents)
-        ordered_docs = [index.corpus.get(td.document) for td in timeline]
-        pool, concepts = extract_concepts(ordered_docs, query, store)
-        instance = build_instance(pool, concepts, config.max_words,
-                                  config.max_sentences, store.stopwords)
-        selection = solve_ilp(instance, max_nodes=config.solver_max_nodes)
-        description = order_sentences(selection, pool, timeline)
+    index = corpus_index(config.corpus_path, config.vectors_path, config.stopwords_path)
+    store, graph = index.store, index.graph
+    topics = index.topics.rank(query, config.k_topics)
+    documents = select_relevant(graph, topics, query, store)
+    timeline = extract_timeline(graph, topics, documents)
+    ordered_docs = [graph.document(td.document) for td in timeline]
+    pool, concepts = extract_concepts(ordered_docs, query, store)
+    instance = build_instance(pool, concepts, config.max_words,
+                              config.max_sentences, store.stopwords)
+    selection = solve_ilp(instance, max_nodes=config.solver_max_nodes)
+    description = order_sentences(selection, pool, timeline)
     trace = Trace(
         topics=topics,
         documents=[d.title for d in documents],

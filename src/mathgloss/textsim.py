@@ -148,13 +148,14 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """
     if a.shape != b.shape:
         raise DimensionMismatch(f"operands of dimension {a.shape[0]} and {b.shape[0]}")
-    aa, bb = float(np.dot(a, a)), float(np.dot(b, b))
+    # vdot runs dot's kernel without the check that warns when a norm overflows
+    aa, bb = float(np.vdot(a, a)), float(np.vdot(b, b))
     if not (aa >= _TINY and bb >= _TINY and _TINY <= aa * bb < math.inf):
         a, b = _unit_scaled(a), _unit_scaled(b)
         if a is None or b is None:
             return 0.0
-        aa, bb = float(np.dot(a, a)), float(np.dot(b, b))
-    return float(np.dot(a, b)) / math.sqrt(aa * bb)
+        aa, bb = float(np.vdot(a, a)), float(np.vdot(b, b))
+    return float(np.vdot(a, b)) / math.sqrt(aa * bb)
 
 
 

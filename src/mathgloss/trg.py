@@ -8,9 +8,7 @@ Citations of unknown titles and self-citations are dropped but counted.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .corpus import Corpus, Document
 from .errors import UnknownVertex
@@ -34,45 +32,45 @@ class BuildReport:
 
 
 class TopicRelationGraph:
-    """Vertices are titles; edges keep corpus build order."""
+    """A view over its corpus, whose titles are the vertices.  The graph holds
+    only the edges, in build order, and adjacency lists for vertices with edges."""
 
     def __init__(self, corpus: Corpus):
-        self._documents = {doc.title: doc for doc in corpus}
+        self.corpus = corpus
         self.edges: list[Edge] = []
-        self._outgoing: dict[str, list[Edge]] = {t: [] for t in self._documents}
-        self._incoming: dict[str, list[Edge]] = {t: [] for t in self._documents}
-        self._pairs: set[tuple[str, str]] = set()
+        self._outgoing: dict[str, list[Edge]] = {}
+        self._incoming: dict[str, list[Edge]] = {}
 
     @property
     def vertices(self) -> list[str]:
-        return list(self._documents)
+        return self.corpus.titles
 
     def __contains__(self, title: str) -> bool:
-        return title in self._documents
+        return title in self.corpus
 
     def document(self, title: str) -> Document:
-        if title not in self._documents:
+        if title not in self.corpus:
             raise UnknownVertex(title)
-        return self._documents[title]
+        return self.corpus.get(title)
 
     def outlinks(self, title: str) -> list[Edge]:
-        if title not in self._outgoing:
+        if title not in self.corpus:
             raise UnknownVertex(title)
-        return list(self._outgoing[title])
+        return list(self._outgoing.get(title, ()))
 
     def inlinks(self, title: str) -> list[Edge]:
-        if title not in self._incoming:
+        if title not in self.corpus:
             raise UnknownVertex(title)
-        return list(self._incoming[title])
+        return list(self._incoming.get(title, ()))
 
     def has_edge(self, source: str, target: str) -> bool:
-        return (source, target) in self._pairs
+        # out-degree stays small; in-degree passes a thousand on hub topics
+        return any(edge.target == target for edge in self._outgoing.get(source, ()))
 
     def _add_edge(self, edge: Edge) -> None:
         self.edges.append(edge)
-        self._outgoing[edge.source].append(edge)
-        self._incoming[edge.target].append(edge)
-        self._pairs.add((edge.source, edge.target))
+        self._outgoing.setdefault(edge.source, []).append(edge)
+        self._incoming.setdefault(edge.target, []).append(edge)
 
 
 def build_trg(corpus: Corpus) -> tuple[TopicRelationGraph, BuildReport]:
@@ -100,16 +98,3 @@ def build_trg(corpus: Corpus) -> tuple[TopicRelationGraph, BuildReport]:
                          dangling_dropped=dangling,
                          self_dropped=selfcites)
     return graph, report
-
-
-def export_edges(graph: TopicRelationGraph, path: str | Path) -> None:
-    """One JSON line per edge, in build order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for edge in graph.edges:
-            fh.write(json.dumps({
-                "source": edge.source,
-                "target": edge.target,
-                "expression": edge.expression_source,
-                "context": edge.context,
-            }, ensure_ascii=False))
-            fh.write("\n")

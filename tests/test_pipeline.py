@@ -8,11 +8,13 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mathgloss import PipelineConfig, Query, cli_run, describe
+from mathgloss import (EmbeddingStore, PipelineConfig, Query, cli_run, cosine, describe,
+                       extract_concepts, rank_topics, select_relevant)
 from mathgloss.pipeline import _build_parser, main
 
 GOLDEN_ARGS = [
@@ -249,6 +251,23 @@ def test_cli_prints_no_warning_when_squared_norms_overflow(fixture_paths, tmp_pa
         assert cli_run(_overflowing_vectors_args(fixture_paths, tmp_path)) == 0
     captured = capsys.readouterr()
     assert captured.out and captured.err == ""
+
+
+def test_library_stages_print_no_warning_when_squared_norms_overflow(
+        corpus, graph, store, golden_query):
+    # components near 1e200 leave every sum finite but overflow each squared norm
+    huge = EmbeddingStore(dimension=store.dimension, stopwords=store.stopwords,
+                          vectors={w: 1e200 * v for w, v in store.vectors.items()})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        topics = rank_topics(golden_query, corpus, huge)
+        documents = select_relevant(graph, topics, golden_query, huge)
+        pool, concepts = extract_concepts(documents, golden_query, huge)
+        vector = huge.vectors["triangle"]
+        assert cosine(vector, 3.0 * vector) == 1.0
+    assert [t.title for t in topics] == ["Pythagorean theorem", "Right triangle",
+                                         "Euclidean geometry"]
+    assert documents and pool and concepts
 
 
 _FIXTURE_FILES = {name: (Path(__file__).parent / "fixtures" / f"{name}.{ext}").read_bytes()

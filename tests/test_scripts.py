@@ -1,7 +1,9 @@
 """Smoke tests: the scripts under scripts/ run as programs and print what they promise."""
 
+import ast
 import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,9 @@ from pathlib import Path
 from mathgloss import PipelineConfig, describe
 from mathgloss.summarizer import dump_instance, solve_ilp
 from oracles import random_instance
+from test_acceptance import (DERIVED_TOPIC_SCORES, GOLDEN_DOCUMENTS, GOLDEN_LINES,
+                             GOLDEN_OBJECTIVE, GOLDEN_PROVENANCE, GOLDEN_SELECTED,
+                             GOLDEN_TIMELINE, GOLDEN_WORD_COUNT)
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -53,3 +58,20 @@ def test_solve_instance_solves_a_dumped_instance(tmp_path):
     selection = solve_ilp(instance)
     assert f"selected: {list(selection.sentences)}" in result.stdout.splitlines()
     assert f"objective: {selection.objective!r}" in result.stdout.splitlines()
+
+
+def test_derive_fixture_expectations_prints_the_pinned_literals():
+    result = _run("derive_fixture_expectations.py")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    printed = {key: ast.literal_eval(value) for key, _, value in
+               (line.strip().partition(" = ") for line in lines) if value}
+    assert printed == {"TOPIC_SCORES": DERIVED_TOPIC_SCORES, "SELECTED": GOLDEN_SELECTED,
+                       "OBJECTIVE": GOLDEN_OBJECTIVE, "WORD_COUNT": GOLDEN_WORD_COUNT}
+    fields = dict(line.partition(": ")[::2] for line in lines if ": [" in line)
+    assert ast.literal_eval(fields["documents"]) == GOLDEN_DOCUMENTS
+    assert ast.literal_eval(fields["timeline"]) == GOLDEN_TIMELINE
+    described = [re.fullmatch(r"  \[(.+) #(\d+)\] (.+)", line)
+                 for line in lines[lines.index("description:") + 1:]]
+    assert [(m[1], int(m[2])) for m in described] == GOLDEN_PROVENANCE
+    assert [m[3] for m in described] == GOLDEN_LINES

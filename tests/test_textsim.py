@@ -186,8 +186,7 @@ def test_cosine_stays_exact_when_a_norm_leaves_the_normal_range():
     assert cosine(np.array([1.0]), tiny) == 1.0
     assert cosine(np.array([7220.0]), tiny) == 1.0
     assert cosine(np.array([1e-170]), np.array([-1e-170])) == -1.0
-    with np.errstate(over="ignore"):
-        assert cosine(np.array([1e200, 0.0]), np.array([3e200, 0.0])) == 1.0
+    assert cosine(np.array([1e200, 0.0]), np.array([3e200, 0.0])) == 1.0
 
 
 def test_cosine_dimension_mismatch_raises():

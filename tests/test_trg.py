@@ -1,11 +1,10 @@
 """Citation-graph construction and bookkeeping."""
 
-import json
 import random
 
 import pytest
 
-from mathgloss import Corpus, build_trg, export_edges
+from mathgloss import Corpus, build_trg
 from mathgloss.corpus import Document, MathItem, Sentence
 from mathgloss.errors import UnknownVertex
 from mathgloss.mathtree import parse_expression
@@ -123,20 +122,6 @@ def test_repeated_citation_in_one_item_yields_two_edges():
     assert len(graph.outlinks("A")) == 2
 
 
-def test_export_edges_round_trips(tmp_path, graph):
-    path = tmp_path / "edges.jsonl"
-    export_edges(graph, path)
-    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    assert len(rows) == 12
-    assert rows[0] == {
-        "source": "Pythagorean theorem",
-        "target": "Right triangle",
-        "expression": "a^2+b^2=c^2",
-        "context": graph.edges[0].context,
-    }
-    assert all(set(row) == {"source", "target", "expression", "context"} for row in rows)
-
-
 def test_random_corpora_tally_exactly():
     rng = random.Random(99)
     for _ in range(25):
@@ -148,3 +133,25 @@ def test_random_corpora_tally_exactly():
         out_total = sum(len(graph.outlinks(t)) for t in graph.vertices)
         in_total = sum(len(graph.inlinks(t)) for t in graph.vertices)
         assert out_total == in_total == kept
+
+
+def test_random_graphs_answer_from_their_raw_edges():
+    rng = random.Random(17)
+    edgeless = 0
+    for _ in range(25):
+        corpus = random_corpus(rng)
+        graph, _ = build_trg(corpus)
+        assert graph.corpus is corpus
+        pairs = {(e.source, e.target) for e in graph.edges}
+        titles = corpus.titles + ["Missing Topic"]  # cited by some documents, never a vertex
+        for source in titles:
+            for target in titles:
+                assert graph.has_edge(source, target) == ((source, target) in pairs)
+        for title in corpus.titles:
+            assert graph.outlinks(title) == [e for e in graph.edges if e.source == title]
+            assert graph.inlinks(title) == [e for e in graph.edges if e.target == title]
+            edgeless += not any(title in pair for pair in pairs)
+        for lookup in (graph.outlinks, graph.inlinks, graph.document):
+            with pytest.raises(UnknownVertex):
+                lookup("Missing Topic")
+    assert edgeless > 0
