@@ -17,8 +17,11 @@ marginal gains, and a fractional knapsack of those gains within the words left
 coefficients, so f(S u A) <= f(S) + sum of gains holds for any coefficients.
 Before the search starts, the better of two greedy selections, by gain per
 word and by gain, becomes the incumbent, so the search spends its nodes on the
-proof rather than on finding the optimum.  A node budget raises
-InstanceTooLarge instead of returning a guess.
+proof rather than on finding the optimum; each greedy pick recomputes only the
+gains it touched.  A node budget raises InstanceTooLarge instead of returning
+a guess.  Concept relevances are computed in one batch with the bits of one
+avg_vector and one cosine per bigram, so they take np.vdot products: a matrix
+product would sum in another order, and they enter the objective directly.
 
 All objective values are evaluated with math.fsum over the covered concepts in
 index order.  fsum is correctly rounded, so equal concept sets give bit-equal
@@ -36,13 +39,16 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import Document
 from .errors import EmptyPool, InstanceTooLarge
 from .retrieval import Query
 from .selector import TimestampedDoc
-from .textsim import EmbeddingStore, avg_vector, text_cosine
+from .textsim import _TINY, EmbeddingStore, avg_vector, text_cosine
 
 DEFAULT_MAX_NODES = 5_000_000
+_BLOCK = 256  # bigrams whose means are built at once: keeps the arrays small
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,8 @@ def extract_concepts(docs: list[Document], query: Query,
     Pool order follows the given document order, then sentence position;
     zero-token sentences are not admitted.  A bigram's weight counts every
     occurrence across the pool; its relevance is the cosine between the bigram
-    token average and the query context average (0 when either is absent).
+    token average and the query context average (0 when either is absent),
+    computed for all bigrams in one batch with the same bits (_relevances).
     """
     pool: list[PoolSentence] = []
     for doc in docs:
@@ -126,12 +133,45 @@ def extract_concepts(docs: list[Document], query: Query,
             weights[bigram] = weights.get(bigram, 0) + 1
     if not weights:
         raise EmptyPool("no sentence yielded a bigram")
-    query_vec = avg_vector(query.context_tokens, store)
-    concepts = []
-    for bigram, weight in weights.items():
-        relevance = text_cosine(avg_vector(bigram, store), query_vec)
-        concepts.append(Concept(bigram=bigram, weight=weight, relevance=relevance))
+    bigrams = list(weights)
+    relevances = _relevances(bigrams, store, avg_vector(query.context_tokens, store))
+    concepts = [Concept(bigram=b, weight=weights[b], relevance=r)
+                for b, r in zip(bigrams, relevances)]
     return pool, concepts
+
+
+def _relevances(bigrams: list[tuple[str, str]], store: EmbeddingStore,
+                query_vec: np.ndarray | None) -> list[float]:
+    """text_cosine(avg_vector(b, store), query_vec) for every bigram, bit for bit.
+
+    A block of means takes avg_vector's elementwise steps in its order: zeros,
+    plus the first token in sorted order, plus the second, over the count.
+    Adding zeros for a missing token changes no bit.  Each cosine takes
+    cosine's np.vdot products; a matrix product would sum in another order.
+    A mean that is zero or infinite, or whose squared norms leave the normal
+    range, goes through avg_vector and cosine themselves.
+    """
+    if query_vec is None:
+        return [0.0] * len(bigrams)
+    qq = float(np.vdot(query_vec, query_vec))
+    zero = np.zeros(store.dimension)
+    relevances: list[float] = []
+    for start in range(0, len(bigrams), _BLOCK):
+        block = bigrams[start:start + _BLOCK]
+        tokens = [sorted(t for t in b if t not in store.stopwords and t in store.vectors)
+                  for b in block]
+        means = np.zeros((len(block), store.dimension))
+        with np.errstate(over="ignore"):
+            for k in (0, 1):
+                means += [store.vectors[ts[k]] if len(ts) > k else zero for ts in tokens]
+            means /= np.maximum([len(ts) for ts in tokens], 1)[:, None]
+        for bigram, mean in zip(block, means):
+            mm = float(np.vdot(mean, mean))
+            if mm >= _TINY and qq >= _TINY and _TINY <= mm * qq < math.inf:
+                relevances.append(float(np.vdot(mean, query_vec)) / math.sqrt(mm * qq))
+            else:
+                relevances.append(text_cosine(avg_vector(bigram, store), query_vec))
+    return relevances
 
 
 def build_instance(pool: list[PoolSentence], concepts: list[Concept],
@@ -251,30 +291,30 @@ class _Search:
 
     def greedy(self, per_word: bool) -> tuple[tuple[int, ...], int]:
         """Add the sentence of largest gain, or gain per word, while one with a
-        positive gain fits the cap and the budget; ties go to the lowest index."""
+        positive gain fits the cap and the budget; ties go to the lowest index.
+        As in _visit, a pick recomputes only the gains of sentences touching
+        the concepts it newly covered; a chosen sentence's gain becomes 0."""
+        lengths, masks = self.lengths, self.masks
+        gains = [self._gain(j, 0) for j in range(self.n)]
         chosen: list[int] = []
         used = covered = 0
         while len(chosen) < self.cap:
             best, best_key = None, 0.0
-            for j in range(self.n):
-                if j in chosen or used + self.lengths[j] > self.budget:
+            for j, gain in enumerate(gains):
+                if gain <= 0.0 or used + lengths[j] > self.budget:
                     continue
-                gain = self._gain(j, covered)
-                if gain <= 0.0:
-                    continue
-                if not per_word:
-                    key = gain
-                elif self.lengths[j]:
-                    key = gain / self.lengths[j]
-                else:
-                    key = math.inf
+                key = (gain / lengths[j] if lengths[j] else math.inf) if per_word else gain
                 if best is None or key > best_key:
                     best, best_key = j, key
             if best is None:
                 break
             chosen.append(best)
-            used += self.lengths[best]
-            covered |= self.masks[best]
+            used += lengths[best]
+            fresh = masks[best] & ~covered
+            covered |= masks[best]
+            for j in range(self.n):
+                if masks[j] & fresh:
+                    gains[j] = self._gain(j, covered)
         return tuple(sorted(chosen)), covered
 
     def run(self) -> None:

@@ -19,11 +19,11 @@ import numpy as np
 from mathgloss import Corpus, Document, Query, Topic
 from mathgloss.corpus import Sentence, tokenize
 from mathgloss.corpus import MathItem
-from mathgloss.errors import EmptyCorpus, ParseError
+from mathgloss.errors import EmptyCorpus, EmptyPool, ParseError
 from mathgloss.mathtree import (IMPLICIT_MUL, PATH_DEPTH, MathNode, MathTree, parse_expression,
                                tree_similarity)
-from mathgloss.summarizer import Concept, IlpInstance
-from mathgloss.textsim import EmbeddingStore, avg_vector, cosine
+from mathgloss.summarizer import Concept, IlpInstance, PoolSentence, sentence_bigrams
+from mathgloss.textsim import EmbeddingStore, avg_vector, cosine, text_cosine
 
 
 # --------------------------------------------------------------------------
@@ -302,6 +302,73 @@ def random_instance(rng: random.Random, max_sentences: int = 12,
     return IlpInstance(sentences=[f"s{j}" for j in range(n)], lengths=lengths,
                        concepts=concepts, covers=[tuple(sorted(row)) for row in covers],
                        budget=budget, sentence_cap=rng.randint(1, n))
+
+
+def greedy_oracle(instance: IlpInstance, per_word: bool) -> tuple[tuple[int, ...], int]:
+    """The solver's greedy warm start, recomputing every gain in every round.
+
+    Add the sentence of largest gain, or gain per word, while one with a
+    positive gain fits the cap and the budget; ties go to the lowest index.
+    A gain is the plain sum, in concept index order, of the positive parts of
+    the coefficients the sentence would newly cover.  Returns the chosen
+    indices, ascending, and the bitmask of the concepts they cover.
+    """
+    positive = [max(c.weight + c.relevance, 0.0) for c in instance.concepts]
+    masks = [sum(1 << i for i in row) for row in instance.covers]
+
+    def gain(j: int, covered: int) -> float:
+        return sum(positive[i] for i in range(len(positive)) if (masks[j] & ~covered) >> i & 1)
+
+    chosen: list[int] = []
+    used = covered = 0
+    while len(chosen) < instance.sentence_cap:
+        best, best_key = None, 0.0
+        for j in range(len(instance.lengths)):
+            if j in chosen or used + instance.lengths[j] > instance.budget:
+                continue
+            g = gain(j, covered)
+            if g <= 0.0:
+                continue
+            if not per_word:
+                key = g
+            elif instance.lengths[j]:
+                key = g / instance.lengths[j]
+            else:
+                key = math.inf
+            if best is None or key > best_key:
+                best, best_key = j, key
+        if best is None:
+            break
+        chosen.append(best)
+        used += instance.lengths[best]
+        covered |= masks[best]
+    return tuple(sorted(chosen)), covered
+
+
+# --------------------------------------------------------------------------
+# concept extraction oracle: one avg_vector and one cosine per bigram
+
+def extract_concepts_oracle(docs: list[Document], query: Query,
+                            store: EmbeddingStore) -> tuple[list[PoolSentence], list[Concept]]:
+    """The sentence pool and its bigram concepts, each relevance computed on its own."""
+    pool: list[PoolSentence] = []
+    for doc in docs:
+        for sentence in doc.sentences:
+            if sentence.word_length >= 1:
+                pool.append(PoolSentence(document=doc.title, position=sentence.position,
+                                         text=sentence.text, tokens=sentence.tokens))
+    weights: dict[tuple[str, str], int] = {}
+    for ps in pool:
+        for bigram in sentence_bigrams(ps.tokens, store.stopwords):
+            weights[bigram] = weights.get(bigram, 0) + 1
+    if not weights:
+        raise EmptyPool("no sentence yielded a bigram")
+    query_vec = avg_vector(query.context_tokens, store)
+    concepts = []
+    for bigram, weight in weights.items():
+        relevance = text_cosine(avg_vector(bigram, store), query_vec)
+        concepts.append(Concept(bigram=bigram, weight=weight, relevance=relevance))
+    return pool, concepts
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 import math
 import random
 import sys
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,13 +14,14 @@ from mathgloss import Query, solve_ilp, verify_selection
 from mathgloss.corpus import Document, Sentence
 from mathgloss.errors import EmptyPool, InstanceTooLarge
 from mathgloss.selector import TimestampedDoc
-from mathgloss.summarizer import (Concept, IlpInstance, PoolSentence,
+from mathgloss.summarizer import (DEFAULT_MAX_NODES, Concept, IlpInstance, PoolSentence,
                                   Selection, _Search, build_instance, dump_instance,
                                   extract_concepts, instance_from_dict,
                                   instance_to_dict, load_instance,
                                   order_sentences, sentence_bigrams)
 from mathgloss.textsim import EmbeddingStore
-from oracles import brute_force_solve, check_selection, random_instance
+from oracles import (brute_force_solve, check_selection, extract_concepts_oracle, greedy_oracle,
+                     random_corpus, random_instance, random_query, random_store)
 
 
 def _text_doc(doc_id, title, texts):
@@ -104,6 +107,69 @@ def test_extract_concepts_zero_relevance_when_absent(golden_query):
     docs = [_text_doc("d1", "One", ["alpha beta gamma"])]
     _, concepts = extract_concepts(docs, golden_query, _plain_store())
     assert all(c.relevance == 0.0 for c in concepts)
+
+
+def _assert_concepts_match_oracle(docs, query, store):
+    """Same pool, same concept order, bit-equal relevances, and no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            expected_pool, expected = extract_concepts_oracle(docs, query, store)
+        except EmptyPool:
+            with pytest.raises(EmptyPool):
+                extract_concepts(docs, query, store)
+            return
+        pool, concepts = extract_concepts(docs, query, store)
+    assert pool == expected_pool
+    assert ([(c.bigram, c.weight, float.hex(c.relevance)) for c in concepts]
+            == [(c.bigram, c.weight, float.hex(c.relevance)) for c in expected])
+
+
+def test_extract_concepts_matches_oracle_on_random_corpora():
+    rng = random.Random(11)
+    for _ in range(60):
+        corpus, store = random_corpus(rng), random_store(rng)
+        _assert_concepts_match_oracle(list(corpus), random_query(rng), store)
+
+
+def test_extract_concepts_matches_oracle_over_several_blocks():
+    # 40 words give hundreds of distinct bigrams, more than one block of means
+    rng = random.Random(5)
+    words = [f"t{i}" for i in range(40)]
+    for _ in range(3):
+        store = EmbeddingStore(dimension=6, stopwords=frozenset(rng.sample(words, 2)),
+                               vectors={w: np.array([rng.gauss(0.0, 1.0) for _ in range(6)])
+                                        for w in words if rng.random() < 0.9})
+        docs = [_text_doc(f"d{d}", f"T{d}", [" ".join(rng.choices(words, k=20))
+                                              for _ in range(10)]) for d in range(5)]
+        query = Query.parse("a", " ".join(rng.choices(words, k=5)))
+        assert len(extract_concepts(docs, query, store)[1]) > 600
+        _assert_concepts_match_oracle(docs, query, store)
+
+
+_EDGE_STORE = EmbeddingStore(dimension=3, stopwords=frozenset({"the"}), vectors={
+    "plain": np.array([1.0, 2.0, -0.5]),
+    "other": np.array([0.25, -1.0, 3.0]),
+    "huge": np.array([1.7e308, -1.0, 1.7e308]),  # its sum with huger overflows
+    "huger": np.array([1.6e308, 1e308, 1.0]),
+    "big": np.array([1e200, -1e200, 1.0]),  # squared norm overflows, sum does not
+    "tiny": np.array([1e-310, -3e-310, 0.0]),  # subnormal: cosine rescales
+    "zero": np.array([0.0, 0.0, 0.0]),
+    "negzero": np.array([-0.0, 1.0, -0.0]),
+})
+
+
+@pytest.mark.parametrize("context", [
+    "plain other", "other negzero", "tiny", "huge", "big", "zero", "negzero",
+    "missing absent the",  # no usable token: every relevance is 0
+])
+def test_extract_concepts_matches_oracle_on_edge_vectors(context):
+    texts = ["plain missing",  # one token out of vocabulary
+             "missing absent",  # both out of vocabulary
+             "plain plain", "huge huger", "huge huge", "big big plain", "tiny tiny plain",
+             "zero zero plain", "negzero negzero plain the other huger tiny big"]
+    docs = [_text_doc("d1", "Edges", texts)]
+    _assert_concepts_match_oracle(docs, Query.parse("a", context), _EDGE_STORE)
 
 
 def test_all_stopword_pool_raises():
@@ -257,17 +323,40 @@ def test_warm_start_gives_way_to_a_lexicographically_smaller_optimum():
     assert solve_ilp(instance).sentences == (0, 1) == brute_force_solve(instance)[1]
 
 
-def test_warm_started_solver_matches_oracle_on_tie_heavy_batch():
-    # few concepts of equal weight and no relevance: most instances hold several optima
-    rng = random.Random(7)
-    for draw in range(300):
+def _tie_heavy_batch(count=300, seed=7):
+    """Few concepts of equal weight and no relevance: most instances hold several optima."""
+    rng = random.Random(seed)
+    for draw in range(count):
         n, m = rng.randint(1, 12), rng.randint(1, 8)
         rows = [[int(rng.random() < 0.3) for _ in range(m)] for _ in range(n)]
-        instance = _tiny_instance([rng.randint(0, 3) for _ in range(n)], rows,
-                                  [rng.choice([1, 1, 2]) for _ in range(m)],
-                                  budget=rng.randint(0, 10), cap=1 + draw % 6)
+        yield _tiny_instance([rng.randint(0, 3) for _ in range(n)], rows,
+                             [rng.choice([1, 1, 2]) for _ in range(m)],
+                             budget=rng.randint(0, 10), cap=1 + draw % 6)
+
+
+def test_warm_started_solver_matches_oracle_on_tie_heavy_batch():
+    for instance in _tie_heavy_batch():
         selection = solve_ilp(instance)
         assert (selection.objective, selection.sentences) == brute_force_solve(instance)
+
+
+def test_incremental_greedy_matches_oracle():
+    rng = random.Random(19)
+    instances = list(_tie_heavy_batch(400, seed=19))  # lengths 0-3: some sentences are empty
+    for draw in range(800):
+        instance = random_instance(rng)
+        for j in range(len(instance.lengths)):
+            if rng.random() < 0.15:
+                instance.lengths[j] = 0  # gain per word is infinite
+        if draw % 2:  # zero and negative coefficients gain nothing
+            instance.concepts = [Concept(c.bigram, rng.choice([0, 1, 2]),
+                                         rng.choice([-3.0, 0.0, 0.5]))
+                                 for c in instance.concepts]
+        instances.append(instance)
+    for instance in instances:
+        search = _Search(instance, max_nodes=1)
+        for per_word in (True, False):
+            assert search.greedy(per_word) == greedy_oracle(instance, per_word)
 
 
 @pytest.mark.parametrize("mutate,message", [
@@ -338,16 +427,36 @@ def test_large_pool_uses_bounded_search_and_stays_exact():
         assert selection.sentences == chosen
 
 
-def test_cap_and_budget_bound_proves_large_pool():
-    # the 27th draw of this stream has 31 sentences and 54 concepts; under cap 4 a
-    # bound that ignores the cap and the word budget ran out of 20,000 nodes
+def _large_pool_instance():
+    # the 27th draw of this stream has 31 sentences and 54 concepts
     rng = random.Random(3)
     for _ in range(27):
         instance = random_instance(rng, max_sentences=36, max_concepts=60)
     instance.sentence_cap = 4
+    return instance
+
+
+def test_cap_and_budget_bound_proves_large_pool():
+    # under cap 4 a bound that ignores the cap and the word budget ran out of
+    # 20,000 nodes
+    instance = _large_pool_instance()
     assert len(instance.lengths) >= 30
     selection = solve_ilp(instance, max_nodes=20_000)
     assert (selection.objective, selection.sentences) == brute_force_solve(instance)
+
+
+def _nodes(instance):
+    search = _Search(instance, max_nodes=DEFAULT_MAX_NODES)
+    search.run()
+    return search.nodes
+
+
+def test_search_node_counts_are_pinned():
+    # a change to the search order or its bounds moves these counts; a larger
+    # one can push a query past a workload's node budget
+    assert _nodes(_large_pool_instance()) == 1_698
+    counts = [_nodes(instance) for instance in _tie_heavy_batch()]
+    assert (sum(counts), max(counts)) == (13_615, 847)
 
 
 def test_pool_longer_than_recursion_limit():
