@@ -8,8 +8,7 @@ from .errors import (DimensionMismatch, DuplicateTitle, EmptyCorpus, EmptyPool,
 from .mathtree import MathNode, MathTree, parse_expression, tree_similarity
 from .pipeline import PipelineConfig, Trace, cli_run, describe
 from .retrieval import Query, Topic, rank_topics
-from .selector import (TimestampedDoc, doc_query_sim, edge_query_sim,
-                       extract_timeline, select_relevant)
+from .selector import TimestampedDoc, extract_timeline, select_relevant
 from .summarizer import (Concept, Description, IlpInstance, PoolSentence,
                          Selection, build_instance, extract_concepts,
                          order_sentences, solve_ilp, verify_selection)

@@ -203,11 +203,5 @@ def path_multiset(tree: MathTree) -> Counter:
 
 def tree_similarity(a: MathTree, b: MathTree) -> float:
     """Dice overlap of the two path multisets; 1.0 iff the multisets agree."""
-    return path_similarity(path_multiset(a), path_multiset(b))
-
-
-def path_similarity(pa: Counter, pb: Counter) -> float:
-    """tree_similarity of the trees whose path multisets these are."""
-    shared = sum((pa & pb).values())
-    total = sum(pa.values()) + sum(pb.values())
-    return 2.0 * shared / total
+    pa, pb = path_multiset(a), path_multiset(b)
+    return 2.0 * sum((pa & pb).values()) / (pa.total() + pb.total())

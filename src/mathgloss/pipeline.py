@@ -18,7 +18,7 @@ from pathlib import Path
 from .errors import MathGlossError, ParseError, QueryParseError
 from .index import corpus_index
 from .retrieval import Query, Topic
-from .selector import TimestampedDoc, extract_timeline, select_relevant
+from .selector import TimestampedDoc, extract_timeline, select_documents
 from .summarizer import (DEFAULT_MAX_NODES, Description, build_instance,
                          extract_concepts, order_sentences, solve_ilp)
 from .trg import BuildReport
@@ -80,8 +80,9 @@ def describe(query: Query, config: PipelineConfig) -> tuple[Description, Trace]:
     """
     index = corpus_index(config.corpus_path, config.vectors_path, config.stopwords_path)
     store, graph = index.store, index.graph
-    topics = index.topics.rank(query, config.k_topics)
-    documents = select_relevant(graph, topics, query, store)
+    match = index.topics.match(query)
+    topics = index.topics.rank(match, config.k_topics)
+    documents = select_documents(index.topics, graph, topics, match)
     timeline = extract_timeline(graph, topics, documents)
     ordered_docs = [graph.document(td.document) for td in timeline]
     pool, concepts = extract_concepts(ordered_docs, query, store)

@@ -1,11 +1,13 @@
-"""Rank corpus documents against a math query: expression-tree overlap plus
-cosine between the query context and each document's leading paragraph.
+"""Score corpus documents and citation edges against a math query: expression-
+tree overlap plus cosine between the query context and leading paragraphs.
 
-The corpus side of the ranking does not depend on the query, so TopicIndex
+The corpus side of every score does not depend on the query, so TopicIndex
 computes it once: an inverted index from depth-3 label paths to the math items
 holding them, as in Tangent (Zanibbi et al. 2016), and one matrix of
 lead-paragraph vectors with their squared norms.  A query then touches only
-the postings of its own paths.
+the postings of its own paths, once: the walk gives the Dice overlap of every
+math item, and both the ranking's tree terms and selection's edge scores read
+it (an edge carries the number of the item it came from).
 
 Ranking is filter and refine, as in the threshold algorithm (Fagin, Lotem &
 Naor 2003).  The filter scores every document at once, with one
@@ -23,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Document, tokenize
+from .corpus import Corpus, tokenize
 from .errors import EmptyCorpus
 from .mathtree import MathTree, parse_expression, path_multiset
 from .textsim import EmbeddingStore, approximate_cosines, avg_vector, text_cosine
+from .trg import Edge
 
 
 @dataclass(frozen=True)
@@ -52,9 +55,13 @@ class Topic:
     score: float
 
 
-def lead_vector(doc: Document, store: EmbeddingStore) -> np.ndarray | None:
-    """The averaged vector of the document's leading paragraph."""
-    return avg_vector(tokenize(doc.leading_paragraph), store)
+@dataclass(frozen=True)
+class Match:
+    """What every score needs of one query: the Dice overlap of each math item
+    sharing a label path with it (an absent item scores 0.0) and the averaged
+    context vector."""
+    dice: dict[int, float]
+    vector: np.ndarray | None
 
 
 # A score is tree term + cosine, and the filter computes the same cosine as
@@ -71,26 +78,29 @@ MARGIN = 1e-9
 
 
 class TopicIndex:
-    """The query-independent half of rank_topics for one corpus and store.
+    """The query-independent half of ranking and edge scoring for one corpus
+    and store.
 
     postings maps each label path to a flat list [item, count, item, count,
     ...] over the math items holding it; items are numbered in corpus order,
     sizes holds each item's multiset size and owners its document's number.
-    Row d of leads is document d's lead-paragraph vector, all zeros where
-    has_lead[d] is false because the paragraph had no usable token, and
-    lead_norms[d] its squared norm.
+    numbers maps each title to its document's number.  Row d of leads is
+    document d's lead-paragraph vector, all zeros where has_lead[d] is false
+    because the paragraph had no usable token, and lead_norms[d] its squared
+    norm.
     """
 
     def __init__(self, corpus: Corpus, store: EmbeddingStore):
         self.store = store
         self.titles = corpus.titles
+        self.numbers = {title: number for number, title in enumerate(self.titles)}
         self.leads = np.zeros((len(self.titles), store.dimension))
         self.has_lead = np.zeros(len(self.titles), dtype=bool)
         self.postings: dict[tuple[str, ...], list[int]] = {}
         self.sizes: list[int] = []
         self.owners: list[int] = []
         for number, doc in enumerate(corpus):
-            lead = lead_vector(doc, store)
+            lead = avg_vector(tokenize(doc.leading_paragraph), store)
             if lead is not None:
                 self.leads[number] = lead
                 self.has_lead[number] = True
@@ -103,39 +113,52 @@ class TopicIndex:
         with np.errstate(over="ignore"):
             self.lead_norms = np.einsum("ij,ij->i", self.leads, self.leads)
 
-    def rank(self, query: Query, k: int) -> list[Topic]:
-        """rank_topics over the indexed corpus."""
-        if k < 1:
-            raise ValueError(f"k must be positive, got {k}")
-        if not self.titles:
-            raise EmptyCorpus("cannot rank topics over an empty corpus")
-        tree_terms = self.tree_terms(query)
-        query_vec = avg_vector(query.context_tokens, self.store)
-        scores: dict[int, float] = {}
-        for d in self.candidates(tree_terms, query_vec, k).tolist():
-            lead = self.leads[d] if self.has_lead[d] else None
-            scores[d] = tree_terms[d] + text_cosine(query_vec, lead)
-        titles = self.titles
-        order = sorted(scores, key=lambda d: (-scores[d], titles[d]))
-        return [Topic(title=titles[d], score=scores[d]) for d in order[:k]]
-
-    def tree_terms(self, query: Query) -> list[float]:
-        """Each document's best Dice overlap between the query and its math items."""
+    def match(self, query: Query) -> Match:
+        """One walk over the query's postings, and the query's context vector."""
         query_paths = path_multiset(query.expression)
         shared: dict[int, int] = {}
         for path, query_count in query_paths.items():
             posting = iter(self.postings.get(path, ()))
             for item, count in zip(posting, posting):
                 shared[item] = shared.get(item, 0) + min(query_count, count)
+        query_size = query_paths.total()
+        dice = {item: 2.0 * common / (query_size + self.sizes[item])
+                for item, common in shared.items()}
+        return Match(dice, avg_vector(query.context_tokens, self.store))
+
+    def rank(self, match: Match, k: int) -> list[Topic]:
+        """rank_topics over the indexed corpus, for the query match came from."""
+        if k < 1:
+            raise ValueError(f"k must be positive, got {k}")
+        if not self.titles:
+            raise EmptyCorpus("cannot rank topics over an empty corpus")
+        tree_terms = self.tree_terms(match)
+        scores: dict[int, float] = {}
+        for d in self.candidates(tree_terms, match.vector, k).tolist():
+            lead = self.leads[d] if self.has_lead[d] else None
+            scores[d] = tree_terms[d] + text_cosine(match.vector, lead)
+        titles = self.titles
+        order = sorted(scores, key=lambda d: (-scores[d], titles[d]))
+        return [Topic(title=titles[d], score=scores[d]) for d in order[:k]]
+
+    def tree_terms(self, match: Match) -> list[float]:
+        """Each document's best Dice overlap between the query and its math items."""
         # an item sharing no path has Dice 0.0, the floor of every tree term
         tree_terms = [0.0] * len(self.titles)
-        query_size = query_paths.total()
-        for item, common in shared.items():
-            dice = 2.0 * common / (query_size + self.sizes[item])
+        for item, dice in match.dice.items():
             owner = self.owners[item]
             if dice > tree_terms[owner]:
                 tree_terms[owner] = dice
         return tree_terms
+
+    def edge_score(self, edge: Edge, far_title: str, match: Match) -> float:
+        """Selection's score of a citation edge: its context's cosine plus its
+        item's Dice, plus the lead cosine of the document at its far end."""
+        context = avg_vector(tokenize(edge.context), self.store)
+        far = self.numbers[far_title]
+        lead = self.leads[far] if self.has_lead[far] else None
+        return (text_cosine(context, match.vector) + match.dice.get(edge.item, 0.0)
+                + text_cosine(lead, match.vector))
 
     def candidates(self, tree_terms: list[float], query_vec: np.ndarray | None,
                    k: int) -> np.ndarray:
@@ -165,4 +188,5 @@ def rank_topics(query: Query, corpus: Corpus, store: EmbeddingStore, k: int = 3)
     The expression term is the best Dice match over a document's math items (0
     when it has none); ties break on ascending title.
     """
-    return TopicIndex(corpus, store).rank(query, k)
+    index = TopicIndex(corpus, store)
+    return index.rank(index.match(query), k)

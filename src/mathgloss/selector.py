@@ -1,87 +1,57 @@
 """Pick the documents worth describing and lay them on a timeline.
 
 Selection walks the ranked topics in order: the topic's own document, then the
-best citing neighbour, then the best cited neighbour, where "best" combines
-edge-to-query and document-to-query similarity.  Timeline extraction assigns
-integer timestamps to topic seeds and offsets cited / citing neighbours a
-tenth below / above their seed.
+best citing neighbour, then the best cited neighbour, where "best" is the
+highest retrieval.TopicIndex.edge_score: edge-to-query plus far-document-to-
+query similarity, read from the same index and query match as the ranking.
+Timeline extraction assigns integer timestamps to topic seeds and offsets
+cited / citing neighbours a tenth below / above their seed.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
-from .corpus import Document, tokenize
-from .mathtree import path_multiset, path_similarity
-from .retrieval import Query, Topic, lead_vector
-from .textsim import EmbeddingStore, avg_vector, text_cosine
-from .trg import Edge, TopicRelationGraph
+from .corpus import Document
+from .retrieval import Match, Query, Topic, TopicIndex
+from .textsim import EmbeddingStore
+from .trg import TopicRelationGraph
 
 logger = logging.getLogger(__name__)
 
 OFFSET = 0.1
 
 
-def edge_query_sim(edge: Edge, query: Query, store: EmbeddingStore) -> float:
-    """Context cosine plus expression-tree similarity for one edge."""
-    return _edge_sim(edge, avg_vector(query.context_tokens, store),
-                     path_multiset(query.expression), store)
-
-
-def _edge_sim(edge: Edge, query_vec: np.ndarray | None, query_paths: Counter,
-              store: EmbeddingStore) -> float:
-    """edge_query_sim given the query's context vector and path multiset."""
-    edge_vec = avg_vector(tokenize(edge.context), store)
-    return (text_cosine(edge_vec, query_vec)
-            + path_similarity(path_multiset(edge.expression), query_paths))
-
-
-def doc_query_sim(doc: Document, query: Query, store: EmbeddingStore) -> float:
-    """Cosine between the document's leading paragraph and the query context."""
-    return text_cosine(lead_vector(doc, store), avg_vector(query.context_tokens, store))
-
-
-def _argmax_edge(graph: TopicRelationGraph, edges: list[Edge], query_vec: np.ndarray | None,
-                 query_paths: Counter, store: EmbeddingStore, far_end: str) -> Edge | None:
-    best: Edge | None = None
-    best_score = 0.0
-    for edge in edges:  # build order; strict > keeps the earliest of a tie
-        far_title = edge.source if far_end == "source" else edge.target
-        far_lead = lead_vector(graph.document(far_title), store)
-        score = (_edge_sim(edge, query_vec, query_paths, store)
-                 + text_cosine(far_lead, query_vec))
-        if best is None or score > best_score:
-            best, best_score = edge, score
-    return best
-
-
 def select_relevant(graph: TopicRelationGraph, topics: list[Topic], query: Query,
                     store: EmbeddingStore) -> list[Document]:
+    """select_documents with a TopicIndex built for this one call."""
+    index = TopicIndex(graph.corpus, store)
+    return select_documents(index, graph, topics, index.match(query))
+
+
+def select_documents(index: TopicIndex, graph: TopicRelationGraph, topics: list[Topic],
+                     match: Match) -> list[Document]:
     """For each topic in rank order: its document, best citing source, best cited target.
 
+    index and graph are over the same corpus, and match is index.match(query).
     Topics without a vertex are skipped.  Duplicates are kept; the output holds
     at most three documents per topic.
     """
     selected: list[Document] = []
     skipped = 0
-    # the query side of every edge's score, computed once
-    query_vec = avg_vector(query.context_tokens, store)
-    query_paths = path_multiset(query.expression)
     for topic in topics:
         if topic.title not in graph:
             skipped += 1
             continue
         selected.append(graph.document(topic.title))
-        citing = _argmax_edge(graph, graph.inlinks(topic.title), query_vec, query_paths,
-                              store, far_end="source")
+        # max keeps the first of equal scores: the edge built first wins a tie
+        citing = max(graph.inlinks(topic.title), default=None,
+                     key=lambda edge: index.edge_score(edge, edge.source, match))
         if citing is not None:
             selected.append(graph.document(citing.source))
-        cited = _argmax_edge(graph, graph.outlinks(topic.title), query_vec, query_paths,
-                             store, far_end="target")
+        cited = max(graph.outlinks(topic.title), default=None,
+                    key=lambda edge: index.edge_score(edge, edge.target, match))
         if cited is not None:
             selected.append(graph.document(cited.target))
     if skipped:

@@ -1,9 +1,11 @@
 """Directed citation graph over document titles.
 
 Every document is a vertex.  Each citation inside a math item's context
-becomes one directed edge carrying that item's expression and context, so two
-items in the same document citing the same target yield two parallel edges.
-Citations of unknown titles and self-citations are dropped but counted.
+becomes one directed edge carrying that item's number, expression and
+context, so two items in the same document citing the same target yield two
+parallel edges.  Items are numbered over the whole corpus in document order,
+as retrieval.TopicIndex numbers them.  Citations of unknown titles and
+self-citations are dropped but counted.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .mathtree import MathTree
 class Edge:
     source: str
     target: str
+    item: int
     expression: MathTree
     expression_source: str
     context: str
@@ -78,22 +81,23 @@ def build_trg(corpus: Corpus) -> tuple[TopicRelationGraph, BuildReport]:
     graph = TopicRelationGraph(corpus)
     dangling = 0
     selfcites = 0
-    for doc in corpus:
-        for item in doc.math_items:
-            for cited in item.cites:
-                if cited == doc.title:
-                    selfcites += 1
-                    continue
-                if cited not in corpus:
-                    dangling += 1
-                    continue
-                graph._add_edge(Edge(
-                    source=doc.title,
-                    target=cited,
-                    expression=item.tree,
-                    expression_source=item.source,
-                    context=item.context,
-                ))
+    items = ((doc, item) for doc in corpus for item in doc.math_items)
+    for number, (doc, item) in enumerate(items):
+        for cited in item.cites:
+            if cited == doc.title:
+                selfcites += 1
+                continue
+            if cited not in corpus:
+                dangling += 1
+                continue
+            graph._add_edge(Edge(
+                source=doc.title,
+                target=cited,
+                item=number,
+                expression=item.tree,
+                expression_source=item.source,
+                context=item.context,
+            ))
     report = BuildReport(edges_kept=len(graph.edges),
                          dangling_dropped=dangling,
                          self_dropped=selfcites)

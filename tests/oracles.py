@@ -24,6 +24,7 @@ from mathgloss.mathtree import (IMPLICIT_MUL, PATH_DEPTH, MathNode, MathTree, pa
                                tree_similarity)
 from mathgloss.summarizer import Concept, IlpInstance, PoolSentence, sentence_bigrams
 from mathgloss.textsim import EmbeddingStore, avg_vector, cosine, text_cosine
+from mathgloss.trg import Edge, TopicRelationGraph
 
 
 # --------------------------------------------------------------------------
@@ -401,6 +402,56 @@ def rank_topics_oracle(query: Query, corpus: Corpus, store: EmbeddingStore,
 
 
 # --------------------------------------------------------------------------
+# selection oracle
+
+def edge_query_sim(edge: Edge, query: Query, store: EmbeddingStore) -> float:
+    """Context cosine plus expression-tree similarity for one edge."""
+    return (text_cosine(avg_vector(tokenize(edge.context), store),
+                        avg_vector(query.context_tokens, store))
+            + tree_similarity(edge.expression, query.expression))
+
+
+def doc_query_sim(doc: Document, query: Query, store: EmbeddingStore) -> float:
+    """Cosine between the document's leading paragraph and the query context."""
+    return text_cosine(avg_vector(tokenize(doc.leading_paragraph), store),
+                       avg_vector(query.context_tokens, store))
+
+
+def _argmax_edge_oracle(graph: TopicRelationGraph, edges: list[Edge], query: Query,
+                        store: EmbeddingStore, far_end: str) -> Edge | None:
+    best: Edge | None = None
+    best_score = 0.0
+    for edge in edges:  # build order; strict > keeps the earliest of a tie
+        far = graph.document(edge.source if far_end == "source" else edge.target)
+        score = edge_query_sim(edge, query, store) + doc_query_sim(far, query, store)
+        if best is None or score > best_score:
+            best, best_score = edge, score
+    return best
+
+
+def select_relevant_oracle(graph: TopicRelationGraph, topics: list[Topic], query: Query,
+                           store: EmbeddingStore) -> list[Document]:
+    """Each topic's document, best citing source and best cited target, every
+    edge scored on its own from its tree and texts and every far lead averaged
+    anew.  This is select_relevant as it was before it read item Dice and lead
+    vectors from the ranking index."""
+    selected: list[Document] = []
+    for topic in topics:
+        if topic.title not in graph:
+            continue
+        selected.append(graph.document(topic.title))
+        inlinks = [e for e in graph.edges if e.target == topic.title]
+        citing = _argmax_edge_oracle(graph, inlinks, query, store, far_end="source")
+        if citing is not None:
+            selected.append(graph.document(citing.source))
+        outlinks = [e for e in graph.edges if e.source == topic.title]
+        cited = _argmax_edge_oracle(graph, outlinks, query, store, far_end="target")
+        if cited is not None:
+            selected.append(graph.document(cited.target))
+    return selected
+
+
+# --------------------------------------------------------------------------
 # timeline oracle
 
 def timeline_oracle(edges: set[tuple[str, str]], topics: list[str],
@@ -570,6 +621,40 @@ def random_corpus(rng: random.Random, max_docs: int = 9) -> Corpus:
         documents[title] = Document(id=f"d{idx:02d}", title=title,
                                     leading_paragraph=_random_text(rng),
                                     sentences=sentences, math_items=tuple(items))
+    return Corpus(documents)
+
+
+def random_hub_corpus(rng: random.Random, max_citers: int = 40) -> Corpus:
+    """A hub cited by many documents, most of them alike in lead, expression and
+    context, so their edges tie; the hub cites many of them back from one item.
+
+    Some citers hold an item that cites nothing before their citing one, and
+    some documents hold no math, so an edge's item number is not its position
+    among the edges or among the documents.
+    """
+    expression, context, lead = rng.choice(_EXPRESSIONS), _random_text(rng), _random_text(rng)
+    titles = [f"Citer {i:02d}" for i in range(rng.randint(2, max_citers))]
+    documents = {}
+    for idx, title in enumerate(titles):
+        alike = rng.random() < 0.7
+        items = []
+        if rng.random() < 0.3:
+            source = rng.choice(_EXPRESSIONS)
+            items.append(MathItem(source=source, tree=parse_expression(source),
+                                  context=_random_text(rng), cites=()))
+        if rng.random() < 0.85:
+            source = expression if alike else rng.choice(_EXPRESSIONS)
+            items.append(MathItem(source=source, tree=parse_expression(source),
+                                  context=context if alike else _random_text(rng),
+                                  cites=("Hub",)))
+        documents[title] = Document(id=f"c{idx:02d}", title=title,
+                                    leading_paragraph=lead if alike else _random_text(rng),
+                                    sentences=(), math_items=tuple(items))
+    cited = tuple(t for t in titles if rng.random() < 0.5)
+    hub_items = (MathItem(source=expression, tree=parse_expression(expression),
+                          context=context, cites=cited),)
+    documents["Hub"] = Document(id="hub", title="Hub", leading_paragraph=_random_text(rng),
+                                sentences=(), math_items=hub_items)
     return Corpus(documents)
 
 

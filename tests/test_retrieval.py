@@ -11,7 +11,7 @@ from mathgloss import Corpus, Query, rank_topics
 from mathgloss.corpus import Document, Sentence
 from mathgloss.errors import EmptyCorpus, ParseError
 from mathgloss.retrieval import TopicIndex
-from mathgloss.textsim import EmbeddingStore, avg_vector
+from mathgloss.textsim import EmbeddingStore
 from oracles import random_corpus, random_query, random_store, rank_topics_oracle
 
 
@@ -126,7 +126,7 @@ def test_indexed_rank_equals_oracle_on_fixture(corpus, store):
             for context in contexts:
                 query = Query.parse(item.source, context)
                 expected = _bits(rank_topics_oracle(query, corpus, store, k=12))
-                assert _bits(index.rank(query, 12)) == expected
+                assert _bits(index.rank(index.match(query), 12)) == expected
                 assert _bits(rank_topics(query, corpus, store, k=12)) == expected
 
 
@@ -138,7 +138,7 @@ def test_indexed_rank_equals_oracle_on_random_corpora():
         for _ in range(4):
             query, k = random_query(rng), rng.randint(1, 14)
             expected = _bits(rank_topics_oracle(query, corpus, store, k=k))
-            assert _bits(index.rank(query, k)) == expected
+            assert _bits(index.rank(index.match(query), k)) == expected
             assert _bits(rank_topics(query, corpus, store, k=k)) == expected
 
 
@@ -163,7 +163,7 @@ def _assert_every_k_matches_oracle(corpus, store, query):
     with np.errstate(over="ignore"):
         for k in range(1, len(corpus) + 3):
             expected = _bits(rank_topics_oracle(query, corpus, store, k=k))
-            assert _bits(index.rank(query, k)) == expected, k
+            assert _bits(index.rank(index.match(query), k)) == expected, k
 
 
 def test_filter_keeps_rounding_twins_at_the_kth_boundary():
@@ -194,7 +194,7 @@ def test_filter_breaks_exact_ties_on_title():
                            ("Bravo", "alpha", ["x^2"])])
     query = Query.parse("x^2", "alpha beta")
     _assert_every_k_matches_oracle(corpus, store, query)
-    ranked = TopicIndex(corpus, store).rank(query, 3)
+    ranked = rank_topics(query, corpus, store, k=3)
     assert [t.title for t in ranked] == ["Alpha", "Bravo", "Charlie"]
 
 
@@ -216,7 +216,7 @@ def test_filter_with_a_query_context_without_usable_tokens():
     for context in ["the", "", "nothing in the vocabulary"]:
         query = Query.parse("a+b", context)
         _assert_every_k_matches_oracle(corpus, store, query)
-        assert [t.score for t in TopicIndex(corpus, store).rank(query, 4)] == [1.0, 1.0, 2 / 3, 0.0]
+        assert [t.score for t in rank_topics(query, corpus, store, k=4)] == [1.0, 1.0, 2 / 3, 0.0]
 
 
 def test_filter_rescores_rows_outside_the_normal_range():
@@ -287,7 +287,7 @@ def test_filter_matches_oracle_on_random_extreme_corpora():
             for _ in range(3):
                 query, k = random_query(rng), rng.randint(1, 16)
                 expected = _bits(rank_topics_oracle(query, corpus, store, k=k))
-                assert _bits(index.rank(query, k)) == expected
+                assert _bits(index.rank(index.match(query), k)) == expected
 
 
 def test_candidates_hold_every_document_that_can_reach_the_top_k():
@@ -299,10 +299,10 @@ def test_candidates_hold_every_document_that_can_reach_the_top_k():
             for _ in range(3):
                 query = random_query(rng)
                 full = rank_topics_oracle(query, corpus, store, k=len(corpus))
-                tree_terms = index.tree_terms(query)
-                query_vec = avg_vector(query.context_tokens, store)
+                match = index.match(query)
+                tree_terms = index.tree_terms(match)
                 for k in range(1, len(corpus) + 1):
                     chosen = {index.titles[d]
-                              for d in index.candidates(tree_terms, query_vec, k)}
+                              for d in index.candidates(tree_terms, match.vector, k)}
                     kth = full[k - 1].score
                     assert {t.title for t in full if t.score >= kth} <= chosen

@@ -4,13 +4,17 @@ import logging
 import math
 import random
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from mathgloss import Corpus, Query, build_trg, extract_timeline, select_relevant
 from mathgloss.corpus import Document, MathItem, Sentence
 from mathgloss.mathtree import parse_expression
-from mathgloss.retrieval import Topic
-from mathgloss.selector import TimestampedDoc, doc_query_sim, edge_query_sim
+from mathgloss.retrieval import Topic, TopicIndex
+from mathgloss.selector import TimestampedDoc
 from mathgloss.trg import Edge
-from oracles import random_corpus, random_query, random_store, timeline_oracle
+from oracles import (doc_query_sim, edge_query_sim, random_corpus, random_hub_corpus,
+                     random_query, random_store, select_relevant_oracle, timeline_oracle)
 
 GOLDEN_DOCUMENTS = [
     "Pythagorean theorem", "Euclidean distance", "Right triangle",
@@ -28,10 +32,10 @@ GOLDEN_TIMELINE = [
 
 
 # --------------------------------------------------------------------------
-# similarity terms
+# similarity terms, as the selection oracle computes them
 
 def test_edge_query_sim_pins_both_terms(golden_query, store):
-    edge = Edge(source="X", target="Y",
+    edge = Edge(source="X", target="Y", item=0,
                 expression=parse_expression("a^2+b^2=c^2"),
                 expression_source="a^2+b^2=c^2",
                 context="right triangle")
@@ -40,7 +44,7 @@ def test_edge_query_sim_pins_both_terms(golden_query, store):
 
 
 def test_edge_query_sim_absent_context_counts_zero(golden_query, store):
-    edge = Edge(source="X", target="Y", expression=parse_expression("z"),
+    edge = Edge(source="X", target="Y", item=0, expression=parse_expression("z"),
                 expression_source="z", context="the of and")
     assert edge_query_sim(edge, golden_query, store) == 0.0
 
@@ -254,35 +258,97 @@ def test_random_timelines_match_oracle():
         assert [(td.document, td.timestamp) for td in timeline] == expected
 
 
-def _argmax_by_public_scores(graph, edges, query, store, far_end):
-    best, best_score = None, 0.0
-    for edge in edges:
-        far = graph.document(edge.source if far_end == "source" else edge.target)
-        score = edge_query_sim(edge, query, store) + doc_query_sim(far, query, store)
-        if best is None or score > best_score:
-            best, best_score = edge, score
-    return best
+def _titles(docs):
+    return [d.title for d in docs]
 
 
-def test_random_selections_match_argmax_over_public_scores():
-    # select_relevant computes the query side once per call; its picks must be
-    # the ones edge_query_sim + doc_query_sim give edge by edge
+def test_random_selections_match_the_oracle():
     rng = random.Random(5151)
     for _ in range(60):
         corpus = random_corpus(rng, max_docs=12)
         graph, _ = build_trg(corpus)
         store, query = random_store(rng), random_query(rng)
         topics = [Topic(t, 1.0) for t in rng.sample(corpus.titles, 3)]
-        expected = []
-        for topic in topics:
-            expected.append(topic.title)
-            citing = _argmax_by_public_scores(graph, graph.inlinks(topic.title), query,
-                                              store, "source")
-            if citing is not None:
-                expected.append(citing.source)
-            cited = _argmax_by_public_scores(graph, graph.outlinks(topic.title), query,
-                                             store, "target")
-            if cited is not None:
-                expected.append(cited.target)
-        docs = select_relevant(graph, topics, query, store)
-        assert [d.title for d in docs] == expected
+        assert _titles(select_relevant(graph, topics, query, store)) == \
+            _titles(select_relevant_oracle(graph, topics, query, store))
+
+
+def test_edge_scores_equal_the_oracle_bit_for_bit():
+    rng = random.Random(5252)
+    scored = 0
+    for _ in range(60):
+        corpus = random_corpus(rng, max_docs=12)
+        graph, _ = build_trg(corpus)
+        store, query = random_store(rng), random_query(rng)
+        index = TopicIndex(corpus, store)
+        match = index.match(query)
+        for edge in graph.edges:
+            for far in (edge.source, edge.target):
+                expected = (edge_query_sim(edge, query, store)
+                            + doc_query_sim(corpus.get(far), query, store))
+                assert index.edge_score(edge, far, match).hex() == expected.hex()
+                scored += 1
+    assert scored > 500
+
+
+def test_hub_selections_match_the_oracle_and_keep_the_earliest_of_a_tie():
+    rng = random.Random(6262)
+    ties = 0
+    for _ in range(80):
+        corpus = random_hub_corpus(rng)
+        graph, _ = build_trg(corpus)
+        store, query = random_store(rng), random_query(rng)
+        titles = list(corpus.titles)
+        rng.shuffle(titles)
+        topics = [Topic("Hub", 1.0)] + [Topic(t, 0.5) for t in titles[:2]]
+        assert _titles(select_relevant(graph, topics, query, store)) == \
+            _titles(select_relevant_oracle(graph, topics, query, store))
+        scores = [edge_query_sim(e, query, store) + doc_query_sim(graph.document(e.source),
+                                                                 query, store)
+                  for e in graph.inlinks("Hub")]
+        ties += bool(scores) and scores.count(max(scores)) > 1
+    assert ties > 20  # most draws put the tie rule to work
+
+
+# a document is (lead, items) and an item (expression, context, cited document numbers)
+_EXPRESSIONS = ["a+b", "x^2", "a=b", "a*b-c", "\\frac{a}{b}"]
+_TEXTS = st.lists(st.sampled_from(["series", "matrix", "prime", "field", "group"]),
+                  max_size=3).map(" ".join)
+_SPEC_STORE = random_store(random.Random(31))
+
+
+@st.composite
+def _corpus_specs(draw):
+    count = draw(st.integers(2, 6))
+    item = st.tuples(st.sampled_from(_EXPRESSIONS), _TEXTS,
+                     st.lists(st.integers(0, count - 1), max_size=2))
+    return [(draw(_TEXTS), draw(st.lists(item, max_size=3))) for _ in range(count)]
+
+
+def _spec_corpus(spec) -> Corpus:
+    titles = [f"T{i}" for i in range(len(spec))]
+    return Corpus({
+        title: Document(id=title, title=title, leading_paragraph=lead, sentences=(),
+                        math_items=tuple(MathItem(source=e, tree=parse_expression(e),
+                                                  context=c, cites=tuple(titles[j] for j in cites))
+                                         for e, c, cites in items))
+        for title, (lead, items) in zip(titles, spec)})
+
+
+# T0 is cited from an item whose expression matches the query (the right pick)
+# and from one that does not; an item numbering shifted by the document
+# without math, or by the item that cites nothing, swaps their Dice
+@example(spec=[("series", []), ("matrix", []),
+               ("prime", [("x^2", "field", [0])]),
+               ("prime", [("a+b", "field", [0])])], expr="a+b", context="field")
+@example(spec=[("series", []),
+               ("prime", [("a+b", "field", []), ("x^2", "field", [0])]),
+               ("prime", [("a+b", "field", [0])])], expr="a+b", context="field")
+@given(spec=_corpus_specs(), expr=st.sampled_from(_EXPRESSIONS), context=_TEXTS)
+def test_selection_reads_each_edge_items_dice(spec, expr, context):
+    corpus = _spec_corpus(spec)
+    graph, _ = build_trg(corpus)
+    query = Query.parse(expr, context)
+    topics = [Topic(t, 1.0) for t in corpus.titles]
+    assert _titles(select_relevant(graph, topics, query, _SPEC_STORE)) == \
+        _titles(select_relevant_oracle(graph, topics, query, _SPEC_STORE))

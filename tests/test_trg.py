@@ -73,6 +73,20 @@ def test_edges_carry_expression_and_context(corpus, graph):
     assert edge.context == item.context
 
 
+def test_edges_carry_their_item_number(corpus, graph):
+    # Right triangle's first item and Fibonacci number's first cite nothing;
+    # Euclidean geometry holds no math
+    assert [e.item for e in graph.edges] == [0, 1, 3, 4, 5, 7, 8, 9, 10, 11, 12, 13]
+    rng = random.Random(23)
+    for one in [corpus] + [random_corpus(rng) for _ in range(40)]:
+        items = [(doc.title, item) for doc in one for item in doc.math_items]
+        for edge in build_trg(one)[0].edges:
+            title, item = items[edge.item]
+            assert (title, item.source, item.context) == \
+                (edge.source, edge.expression_source, edge.context)
+            assert edge.target in item.cites
+
+
 def test_dropped_citations_leave_no_edges(graph):
     assert not graph.has_edge("Triangle inequality", "Triangle inequality")
     assert not graph.has_edge("Cassini's identity", "Lucas number")
