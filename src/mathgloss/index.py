@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, TypeVar
 
-from .corpus import read_corpus
+from .corpus import nogc, read_corpus
 from .retrieval import TopicIndex
 from .textsim import EmbeddingStore, read_stopwords, read_vectors
 from .trg import BuildReport, TopicRelationGraph, build_trg
@@ -71,6 +71,7 @@ def _file_digest(path: str | Path) -> bytes:
     return digest.digest()
 
 
+@nogc
 def build_index(corpus_path: str | Path, vectors_path: str | Path,
                 stopwords_path: str | Path) -> CorpusIndex:
     corpus, corpus_digest = _read_hashed(corpus_path, read_corpus)

@@ -14,7 +14,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .corpus import numbered_lines
+from .corpus import nogc, numbered_lines
 from .errors import DimensionMismatch, EmptyVectorFile
 
 
@@ -51,6 +51,7 @@ def load_vectors(path: str | Path, stopword_path: str | Path) -> EmbeddingStore:
                           stopwords=load_stopwords(stopword_path))
 
 
+@nogc
 def read_vectors(fh: TextIO, name: str | Path) -> tuple[int, dict[str, np.ndarray]]:
     """The dimension and the rows of a vector file, read from an open text stream.
 

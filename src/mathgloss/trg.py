@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import Corpus, Document
+from .corpus import Corpus, Document, nogc
 from .errors import UnknownVertex
 from .mathtree import MathTree
 
@@ -76,6 +76,7 @@ class TopicRelationGraph:
         self._incoming.setdefault(edge.target, []).append(edge)
 
 
+@nogc
 def build_trg(corpus: Corpus) -> tuple[TopicRelationGraph, BuildReport]:
     """Collect citation edges in document, then item, then citation order."""
     graph = TopicRelationGraph(corpus)

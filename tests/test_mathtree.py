@@ -264,6 +264,23 @@ def test_moderate_nesting_still_parses_to_the_same_tree():
         assert parse_expression(nested) == parse_expression("a+{b^2}")
 
 
+def test_three_hundred_parentheses_parse_to_the_same_tree():
+    # a nesting level costs the parser two frames, atom and expr, so this
+    # depth stays well inside the default recursion limit of 1000
+    nested = "(" * 300 + "a+{b^2}" + ")" * 300
+    assert parse_expression(nested) == parse_expression("a+{b^2}")
+
+
+def test_nesting_too_deep_points_at_the_source_position_of_a_parenthesis():
+    # with a space after each bracket, a token's number is not its position
+    source = "( " * 3000 + "a" + " )" * 3000
+    with pytest.raises(ParseError) as excinfo:
+        parse_expression(source)
+    assert excinfo.value.reason == "expression nested too deeply"
+    assert 0 < excinfo.value.position < 2 * 3000
+    assert source[excinfo.value.position] == "("
+
+
 # --------------------------------------------------------------------------
 # agreement with the oracle parser
 
