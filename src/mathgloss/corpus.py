@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import gc
 import json
-import sys
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,31 +39,26 @@ def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip edge punctuation, drop empties.
 
     Interior punctuation survives, so "cassini's" stays one token.  The
-    function is idempotent on its own space-joined output.  Tokens are
-    interned: a corpus repeats a small vocabulary many times over.
+    function is idempotent on its own space-joined output.
     """
     tokens = []
     for raw in text.lower().split():
         # no letter or digit is punctuation, so most words need no stripping
         token = raw if raw[0].isalnum() and raw[-1].isalnum() else _strip_punct(raw)
         if token:
-            tokens.append(sys.intern(token))
+            tokens.append(token)
     return tokens
 
 
 @dataclass(frozen=True, slots=True)
 class Sentence:
+    """Text and position; tokens are computed on access, so only pools pay for them."""
     text: str
-    tokens: tuple[str, ...]
     position: int
 
     @property
-    def word_length(self) -> int:
-        return len(self.tokens)
-
-    @classmethod
-    def make(cls, text: str, position: int) -> "Sentence":
-        return cls(text=text, tokens=tuple(tokenize(text)), position=position)
+    def tokens(self) -> tuple[str, ...]:
+        return tuple(tokenize(self.text))
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,7 +143,7 @@ def _parse_record(raw: object, line_number: int) -> Document:
         raise MalformedRecord(line_number, "leading_paragraph empty but sentences present")
     if not isinstance(raw["math"], list):
         raise MalformedRecord(line_number, "math must be a list")
-    sentences = tuple(Sentence.make(text, i) for i, text in enumerate(raw["sentences"]))
+    sentences = tuple(Sentence(text, i) for i, text in enumerate(raw["sentences"]))
     math_items = []
     for i, m in enumerate(raw["math"]):
         if not isinstance(m, dict):

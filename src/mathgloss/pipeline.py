@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -170,23 +171,29 @@ def cli_run(argv: list[str] | None = None) -> int:
         except ParseError as exc:
             raise QueryParseError(f"cannot parse --expr: {exc}") from exc
         description, trace = describe(query, config)
+        if args.as_json:
+            payload = {"description": description.texts, "trace": trace.to_dict()}
+            print(json.dumps(payload, ensure_ascii=False, allow_nan=False))
+        else:
+            for text in description.texts:
+                print(text)
+            if args.trace:  # one line per entry: ensure_ascii escapes every line break
+                for key, value in trace.to_dict().items():
+                    print(f"{key}: {json.dumps(value)}", file=sys.stderr)
+        sys.stdout.flush()  # a closed pipe raises BrokenPipeError here, not at exit
     except (MathGlossError, OSError, UnicodeEncodeError) as exc:  # open() on a lone surrogate
         print(f"error: {str(exc).translate(_LINE_BREAKS)}", file=sys.stderr)
         return 2
-    if args.as_json:
-        payload = {"description": description.texts, "trace": trace.to_dict()}
-        print(json.dumps(payload, ensure_ascii=False, allow_nan=False))
-    else:
-        for text in description.texts:
-            print(text)
-        if args.trace:  # one line per entry: ensure_ascii escapes every line break
-            for key, value in trace.to_dict().items():
-                print(f"{key}: {json.dumps(value)}", file=sys.stderr)
     return 0
 
 
 def main() -> None:
-    raise SystemExit(cli_run())
+    code = cli_run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # what a closed pipe left unwritten would fail again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -38,6 +38,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +52,7 @@ DEFAULT_MAX_NODES = 5_000_000
 _BLOCK = 256  # bigrams whose means are built at once: keeps the arrays small
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(NamedTuple):
     bigram: tuple[str, str]
     weight: int
     relevance: float
@@ -115,18 +115,18 @@ def extract_concepts(docs: list[Document], query: Query,
                      store: EmbeddingStore) -> tuple[list[PoolSentence], list[Concept]]:
     """Build the sentence pool and its weighted bigram concepts.
 
-    Pool order follows the given document order, then sentence position;
-    zero-token sentences are not admitted.  A bigram's weight counts every
-    occurrence across the pool; its relevance is the cosine between the bigram
-    token average and the query context average (0 when either is absent),
-    computed for all bigrams in one batch with the same bits (_relevances).
+    Pool order follows the given document order, then sentence position; a
+    sentence is tokenized here, once, and pooled if it has a token.  A bigram's
+    weight counts every occurrence across the pool; its relevance is the cosine
+    between the bigram token average and the query context average (0 when
+    either is absent), all computed in one batch with the same bits (_relevances).
     """
     pool: list[PoolSentence] = []
     for doc in docs:
         for sentence in doc.sentences:
-            if sentence.word_length >= 1:
+            if tokens := sentence.tokens:
                 pool.append(PoolSentence(document=doc.title, position=sentence.position,
-                                         text=sentence.text, tokens=sentence.tokens))
+                                         text=sentence.text, tokens=tokens))
     weights: dict[tuple[str, str], int] = {}
     for ps in pool:
         for bigram in sentence_bigrams(ps.tokens, store.stopwords):
@@ -135,8 +135,7 @@ def extract_concepts(docs: list[Document], query: Query,
         raise EmptyPool("no sentence yielded a bigram")
     bigrams = list(weights)
     relevances = _relevances(bigrams, store, avg_vector(query.context_tokens, store))
-    concepts = [Concept(bigram=b, weight=weights[b], relevance=r)
-                for b, r in zip(bigrams, relevances)]
+    concepts = list(map(Concept._make, zip(bigrams, weights.values(), relevances)))
     return pool, concepts
 
 

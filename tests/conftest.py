@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+import mathgloss.corpus
 from mathgloss import Query, build_trg, load_corpus, load_vectors, rank_topics
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -51,3 +52,16 @@ def golden_query():
 @pytest.fixture(scope="session")
 def golden_topics(golden_query, corpus, store):
     return rank_topics(golden_query, corpus, store)
+
+
+@pytest.fixture
+def tokenize_calls(monkeypatch):
+    """The texts mathgloss.corpus.tokenize is called on, in call order."""
+    calls = []
+    tokenize = mathgloss.corpus.tokenize
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+    monkeypatch.setattr(mathgloss.corpus, "tokenize", counting)
+    return calls

@@ -355,7 +355,7 @@ def extract_concepts_oracle(docs: list[Document], query: Query,
     pool: list[PoolSentence] = []
     for doc in docs:
         for sentence in doc.sentences:
-            if sentence.word_length >= 1:
+            if sentence.tokens:
                 pool.append(PoolSentence(document=doc.title, position=sentence.position,
                                          text=sentence.text, tokens=sentence.tokens))
     weights: dict[tuple[str, str], int] = {}
@@ -602,7 +602,7 @@ def random_corpus(rng: random.Random, max_docs: int = 9) -> Corpus:
     titles = [f"Topic {chr(ord('A') + i)}" for i in range(count)]
     documents = {}
     for idx, title in enumerate(titles):
-        sentences = tuple(Sentence.make(_random_text(rng), pos)
+        sentences = tuple(Sentence(_random_text(rng), pos)
                           for pos in range(rng.randint(1, 4)))
         items = []
         for _ in range(rng.randint(0, 3)):

@@ -1,6 +1,7 @@
 """Corpus loading, tokenization, and record validation."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from mathgloss import load_corpus, save_corpus, tokenize
 from mathgloss.corpus import Sentence, _strip_punct, document_to_record
 from mathgloss.errors import DuplicateTitle, EmptyCorpus, MalformedRecord
+from oracles import random_corpus
 
 
 # --------------------------------------------------------------------------
@@ -71,7 +73,6 @@ def test_sentence_positions_and_lengths(corpus):
     for doc in corpus:
         assert [s.position for s in doc.sentences] == list(range(len(doc.sentences)))
         for sentence in doc.sentences:
-            assert sentence.word_length == len(sentence.tokens)
             assert list(sentence.tokens) == tokenize(sentence.text)
 
 
@@ -209,11 +210,21 @@ def test_empty_file_rejected(tmp_path):
         load_corpus(path)
 
 
-def test_sentence_make_tokenizes():
-    sentence = Sentence.make("Alpha beta gamma.", 0)
+def test_sentence_tokenizes_on_access():
+    sentence = Sentence("Alpha beta gamma.", 0)
     assert sentence.tokens == ("alpha", "beta", "gamma")
-    assert sentence.word_length == 3
     assert sentence.position == 0
+    assert Sentence.__slots__ == ("text", "position")  # no tokens are held
+
+
+def test_loading_tokenizes_no_sentence(fixture_paths, tmp_path, tokenize_calls):
+    save_corpus(random_corpus(random.Random(7)), tmp_path / "random.jsonl")
+    loaded = [load_corpus(fixture_paths["corpus"]), load_corpus(tmp_path / "random.jsonl")]
+    assert tokenize_calls == []
+    sentences = [s for corpus in loaded for doc in corpus for s in doc.sentences]
+    assert len(sentences) > 20
+    assert [s.tokens for s in sentences] == [tuple(tokenize(s.text)) for s in sentences]
+    assert tokenize_calls == [s.text for s in sentences]  # on access
 
 
 # --------------------------------------------------------------------------

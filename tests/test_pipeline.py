@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -382,6 +385,27 @@ def test_main_wraps_cli(fixture_paths, monkeypatch, capsys):
         main()
     assert excinfo.value.code == 0
     assert capsys.readouterr().out == "".join(line + "\n" for line in GOLDEN_LINES)
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("extra", [[], ["--json"]], ids=["plain", "json"])
+def test_closed_stdout_pipe_is_one_error_line_and_exit_2(fixture_paths, extra, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the first write
+    src = str(Path(__file__).parents[1] / "src")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:  # print raises at once; buffered, cli_run's flush does
+        env["PYTHONUNBUFFERED"] = unbuffered
+    try:
+        result = subprocess.run([sys.executable, "-m", "mathgloss",
+                                 *_cli_args(fixture_paths, *extra)],
+                                stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    err = result.stderr.decode("utf-8")
+    assert _is_one_error_line(err), err
 
 
 # --------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def _doc(doc_id, title, lead, sources):
         for s in sources
     )
     return Document(id=doc_id, title=title, leading_paragraph=lead,
-                    sentences=(Sentence.make(lead, 0),), math_items=items)
+                    sentences=(Sentence(lead, 0),), math_items=items)
 
 
 def test_exact_expression_match_ranks_first():

@@ -74,7 +74,7 @@ def _doc(doc_id, title, lead, cites=(), source="a+b", context="plain words"):
         items = (MathItem(source=source, tree=parse_expression(source),
                           context=context, cites=tuple(cites)),)
     return Document(id=doc_id, title=title, leading_paragraph=lead,
-                    sentences=(Sentence.make(lead, 0),), math_items=items)
+                    sentences=(Sentence(lead, 0),), math_items=items)
 
 
 def test_isolated_seed_contributes_only_itself(store):
@@ -221,7 +221,7 @@ def test_equal_timestamps_keep_assignment_order():
     # edge was scanned first stays first
     corpus = Corpus({
         "S": Document(id="d1", title="S", leading_paragraph="s lead",
-                      sentences=(Sentence.make("s lead", 0),),
+                      sentences=(Sentence("s lead", 0),),
                       math_items=(MathItem(source="a+b",
                                            tree=parse_expression("a+b"),
                                            context="c", cites=("P", "Q")),)),

@@ -26,7 +26,7 @@ from oracles import (brute_force_solve, check_selection, extract_concepts_oracle
 
 def _text_doc(doc_id, title, texts):
     return Document(id=doc_id, title=title, leading_paragraph=texts[0],
-                    sentences=tuple(Sentence.make(t, i) for i, t in enumerate(texts)),
+                    sentences=tuple(Sentence(t, i) for i, t in enumerate(texts)),
                     math_items=())
 
 
@@ -61,6 +61,15 @@ def test_extract_concepts_single_sentence():
         (("fibonacci", "numbers"), 1), (("numbers", "grow"), 1),
     ]
     assert [ps.text for ps in pool] == ["fibonacci numbers grow"]
+
+
+def test_extract_concepts_tokenizes_each_sentence_once(corpus, store, golden_query,
+                                                       tokenize_calls):
+    docs = [*list(corpus)[:4], _text_doc("d1", "Bare", ["fibonacci numbers", "?!", "grow"])]
+    pool, _ = extract_concepts(docs, golden_query, store)
+    texts = [s.text for doc in docs for s in doc.sentences]
+    assert tokenize_calls == texts
+    assert len(pool) == len(texts) - 1  # "?!" has no token
 
 
 def test_extract_concepts_counts_across_pool():

@@ -111,7 +111,7 @@ def _make_doc(doc_id, title, cite_lists):
         for i, cites in enumerate(cite_lists)
     )
     return Document(id=doc_id, title=title, leading_paragraph="lead",
-                    sentences=(Sentence.make("lead", 0),), math_items=items)
+                    sentences=(Sentence("lead", 0),), math_items=items)
 
 
 def test_parallel_edges_are_kept():
