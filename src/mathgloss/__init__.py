@@ -1,6 +1,6 @@
 """Query-biased extractive descriptions for math expressions."""
 
-from .corpus import Corpus, Document, MathItem, Sentence, load_corpus, save_corpus, tokenize
+from .corpus import Corpus, Document, MathItem, Sentence, load_corpus, tokenize
 from .errors import (DimensionMismatch, DuplicateTitle, EmptyCorpus, EmptyPool,
                      EmptyVectorFile, InstanceTooLarge, MalformedRecord,
                      MathGlossError, NotUtf8, ParseError, QueryParseError,

@@ -228,23 +228,3 @@ def read_corpus(fh: TextIO, name: str | Path) -> Corpus:
         raise EmptyCorpus(f"no records in {name}")
     return Corpus(documents)
 
-
-def document_to_record(doc: Document) -> dict:
-    return {
-        "id": doc.id,
-        "title": doc.title,
-        "leading_paragraph": doc.leading_paragraph,
-        "sentences": [s.text for s in doc.sentences],
-        "math": [
-            {"source": m.source, "context": m.context, "cites": list(m.cites)}
-            for m in doc.math_items
-        ],
-    }
-
-
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the corpus back out; load_corpus(save_corpus(c)) round-trips."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in corpus:
-            fh.write(json.dumps(document_to_record(doc), ensure_ascii=False))
-            fh.write("\n")

@@ -57,13 +57,6 @@ class MathNode:
 class MathTree:
     root: MathNode
 
-    def nodes(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children)
-
 
 def _lex(source: str) -> list[tuple[str, str, int]]:
     """(kind, value, position) tokens of source, ending with an END token at

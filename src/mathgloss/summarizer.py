@@ -34,10 +34,8 @@ _offer, which keeps the lexicographically smallest of them.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -380,18 +378,14 @@ def order_sentences(selection: Selection, pool: list[PoolSentence],
                     timeline: list[TimestampedDoc]) -> Description:
     """Arrange the chosen sentences for reading.
 
-    Sentences from a single document keep their original positions.  Across
-    documents the timeline order applies (it already encodes timestamp order,
+    Documents follow the timeline order (it already encodes timestamp order,
     assignment-order tie-breaks, and trailing never-timestamped documents),
-    with position ordering inside each document.
+    and sentences keep their positions inside each document.
     """
     rank = {td.document: i for i, td in enumerate(timeline)}
     stamps = {td.document: td.timestamp for td in timeline}
-    chosen = [pool[j] for j in selection.sentences]
-    if len({ps.document for ps in chosen}) <= 1:
-        chosen.sort(key=lambda ps: ps.position)
-    else:
-        chosen.sort(key=lambda ps: (rank[ps.document], ps.position))
+    chosen = sorted((pool[j] for j in selection.sentences),
+                    key=lambda ps: (rank[ps.document], ps.position))
     described = tuple(
         DescribedSentence(text=ps.text, document=ps.document, position=ps.position,
                           timestamp=stamps.get(ps.document))
@@ -400,40 +394,3 @@ def order_sentences(selection: Selection, pool: list[PoolSentence],
     return Description(sentences=described,
                        word_count=sum(ps.word_length for ps in chosen))
 
-
-def instance_to_dict(instance: IlpInstance) -> dict:
-    return {
-        "sentences": list(instance.sentences),
-        "lengths": list(instance.lengths),
-        "concepts": [list(c.bigram) for c in instance.concepts],
-        "weights": [c.weight for c in instance.concepts],
-        "relevances": [c.relevance for c in instance.concepts],
-        "covers": [list(row) for row in instance.covers],
-        "budget": instance.budget,
-        "sentence_cap": instance.sentence_cap,
-    }
-
-
-def instance_from_dict(data: dict) -> IlpInstance:
-    concepts = [
-        Concept(bigram=(b[0], b[1]), weight=w, relevance=r)
-        for b, w, r in zip(data["concepts"], data["weights"], data["relevances"])
-    ]
-    return IlpInstance(
-        sentences=list(data["sentences"]),
-        lengths=list(data["lengths"]),
-        concepts=concepts,
-        covers=[tuple(row) for row in data["covers"]],
-        budget=data["budget"],
-        sentence_cap=data["sentence_cap"],
-    )
-
-
-def dump_instance(instance: IlpInstance, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(instance), fh, ensure_ascii=False, indent=2)
-
-
-def load_instance(path: str | Path) -> IlpInstance:
-    with open(path, encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))

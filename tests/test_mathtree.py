@@ -201,11 +201,6 @@ def test_swapped_relation_sides_score_one():
     assert tree_similarity(q, parse_expression("c^2=a^2+b^2")) == 1.0
 
 
-def test_nodes_iterates_whole_tree():
-    tree = parse_expression("a+b*c")
-    assert sorted(node.label for node in tree.nodes()) == ["*", "+", "a", "b", "c"]
-
-
 _LABELS = st.sampled_from(["+", "*", "f", "x", "y", "1"])
 _TREES = st.recursive(
     st.builds(MathNode, _LABELS),

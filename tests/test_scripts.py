@@ -2,15 +2,12 @@
 
 import ast
 import json
-import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 from mathgloss import PipelineConfig, describe
-from mathgloss.summarizer import dump_instance, solve_ilp
-from oracles import random_instance
 from test_acceptance import (DERIVED_TOPIC_SCORES, GOLDEN_DOCUMENTS, GOLDEN_LINES,
                              GOLDEN_OBJECTIVE, GOLDEN_PROVENANCE, GOLDEN_SELECTED,
                              GOLDEN_TIMELINE, GOLDEN_WORD_COUNT)
@@ -47,17 +44,6 @@ def test_run_demo_json(fixture_paths, golden_query):
     description, trace = _golden_run(fixture_paths, golden_query)
     assert json.loads(result.stdout) == {"description": description.texts,
                                          "trace": trace.to_dict()}
-
-
-def test_solve_instance_solves_a_dumped_instance(tmp_path):
-    instance = random_instance(random.Random(13))
-    path = tmp_path / "instance.json"
-    dump_instance(instance, path)
-    result = _run("solve_instance.py", str(path))
-    assert result.returncode == 0, result.stderr
-    selection = solve_ilp(instance)
-    assert f"selected: {list(selection.sentences)}" in result.stdout.splitlines()
-    assert f"objective: {selection.objective!r}" in result.stdout.splitlines()
 
 
 def test_derive_fixture_expectations_prints_the_pinned_literals():

@@ -15,9 +15,7 @@ from mathgloss.corpus import Document, Sentence
 from mathgloss.errors import EmptyPool, InstanceTooLarge
 from mathgloss.selector import TimestampedDoc
 from mathgloss.summarizer import (DEFAULT_MAX_NODES, Concept, IlpInstance, PoolSentence,
-                                  Selection, _Search, build_instance, dump_instance,
-                                  extract_concepts, instance_from_dict,
-                                  instance_to_dict, load_instance,
+                                  Selection, _Search, build_instance, extract_concepts,
                                   order_sentences, sentence_bigrams)
 from mathgloss.textsim import EmbeddingStore
 from oracles import (brute_force_solve, check_selection, extract_concepts_oracle, greedy_oracle,
@@ -562,23 +560,3 @@ def test_description_texts_property():
         pool, [TimestampedDoc("A", 1.0)])
     assert description.texts == ["only sentence"]
 
-
-# --------------------------------------------------------------------------
-# instance serialization
-
-def test_instance_round_trip(tmp_path):
-    rng = random.Random(13)
-    instance = random_instance(rng)
-    path = tmp_path / "instance.json"
-    dump_instance(instance, path)
-    again = load_instance(path)
-    assert again == instance  # float fields survive exactly via repr round-trip
-
-
-def test_instance_dict_schema():
-    instance = _tiny_instance([3], [[1, 0]], [1, 2], budget=5, cap=1)
-    data = instance_to_dict(instance)
-    assert set(data) == {"sentences", "lengths", "concepts", "weights",
-                         "relevances", "covers", "budget", "sentence_cap"}
-    assert data["covers"] == [[0]]
-    assert instance_from_dict(data) == instance
