@@ -9,9 +9,9 @@ from .mathtree import MathNode, MathTree, parse_expression, tree_similarity
 from .pipeline import PipelineConfig, Trace, cli_run, describe
 from .retrieval import Query, Topic, rank_topics
 from .selector import TimestampedDoc, extract_timeline, select_relevant
-from .summarizer import (Concept, Description, IlpInstance, PoolSentence,
-                         Selection, build_instance, extract_concepts,
-                         order_sentences, solve_ilp, verify_selection)
+from .summarizer import (Description, IlpInstance, PoolSentence, Selection,
+                         build_instance, extract_concepts, order_sentences,
+                         solve_ilp, verify_selection)
 from .textsim import EmbeddingStore, avg_vector, cosine, load_stopwords, load_vectors
 from .trg import BuildReport, Edge, TopicRelationGraph, build_trg
 

@@ -3,7 +3,7 @@
 Concepts are bigrams of consecutive non-stopword tokens.  Selecting a set of
 sentences forces exactly the concepts they contain, so the 0-1 program
 
-    maximize   sum_i (weight_i + relevance_i) * c_i
+    maximize   sum_i coefficient_i * c_i
     subject to sum_j length_j * s_j <= budget,   sum_j s_j <= cap,
                s_j <= c_i for i in covers[j],    sum_{j : i in covers[j]} s_j >= c_i
 
@@ -22,6 +22,8 @@ gains it touched.  A node budget raises InstanceTooLarge instead of returning
 a guess.  Concept relevances are computed in one batch with the bits of one
 avg_vector and one cosine per bigram, so they take np.vdot products: a matrix
 product would sum in another order, and they enter the objective directly.
+extract_concepts adds each to its bigram's weight, once, to give the bigram's
+coefficient.
 
 All objective values are evaluated with math.fsum over the covered concepts in
 index order.  fsum is correctly rounded, so equal concept sets give bit-equal
@@ -36,7 +38,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,12 +49,6 @@ from .textsim import _TINY, EmbeddingStore, avg_vector, text_cosine
 
 DEFAULT_MAX_NODES = 5_000_000
 _BLOCK = 256  # bigrams whose means are built at once: keeps the arrays small
-
-
-class Concept(NamedTuple):
-    bigram: tuple[str, str]
-    weight: int
-    relevance: float
 
 
 @dataclass(frozen=True)
@@ -70,9 +65,8 @@ class PoolSentence:
 
 @dataclass
 class IlpInstance:
-    sentences: list[str]
     lengths: list[int]
-    concepts: list[Concept]
+    coefficients: list[float]
     covers: list[tuple[int, ...]]  # covers[j]: sentence j's concept indices, ascending
     budget: int
     sentence_cap: int
@@ -109,15 +103,17 @@ def sentence_bigrams(tokens, stopwords) -> list[tuple[str, str]]:
     return list(zip(content, content[1:]))
 
 
-def extract_concepts(docs: list[Document], query: Query,
-                     store: EmbeddingStore) -> tuple[list[PoolSentence], list[Concept]]:
-    """Build the sentence pool and its weighted bigram concepts.
+def extract_concepts(docs: list[Document], query: Query, store: EmbeddingStore
+                     ) -> tuple[list[PoolSentence], dict[tuple[str, str], float]]:
+    """Build the sentence pool and map each of its bigrams to its coefficient.
 
     Pool order follows the given document order, then sentence position; a
-    sentence is tokenized here, once, and pooled if it has a token.  A bigram's
-    weight counts every occurrence across the pool; its relevance is the cosine
-    between the bigram token average and the query context average (0 when
-    either is absent), all computed in one batch with the same bits (_relevances).
+    sentence is tokenized here, once, and pooled if it has a token.  Bigrams
+    keep the order of their first occurrence.  A coefficient is the bigram's
+    weight, which counts every occurrence across the pool, plus its relevance,
+    the cosine between the bigram token average and the query context average
+    (0 when either is absent), all computed in one batch with the same bits
+    (_relevances).
     """
     pool: list[PoolSentence] = []
     for doc in docs:
@@ -131,10 +127,8 @@ def extract_concepts(docs: list[Document], query: Query,
             weights[bigram] = weights.get(bigram, 0) + 1
     if not weights:
         raise EmptyPool("no sentence yielded a bigram")
-    bigrams = list(weights)
-    relevances = _relevances(bigrams, store, avg_vector(query.context_tokens, store))
-    concepts = list(map(Concept._make, zip(bigrams, weights.values(), relevances)))
-    return pool, concepts
+    relevances = _relevances(list(weights), store, avg_vector(query.context_tokens, store))
+    return pool, {b: w + r for (b, w), r in zip(weights.items(), relevances)}
 
 
 def _relevances(bigrams: list[tuple[str, str]], store: EmbeddingStore,
@@ -171,16 +165,15 @@ def _relevances(bigrams: list[tuple[str, str]], store: EmbeddingStore,
     return relevances
 
 
-def build_instance(pool: list[PoolSentence], concepts: list[Concept],
+def build_instance(pool: list[PoolSentence], concepts: dict[tuple[str, str], float],
                    budget: int, sentence_cap: int, stopwords) -> IlpInstance:
-    index = {c.bigram: i for i, c in enumerate(concepts)}
+    index = {b: i for i, b in enumerate(concepts)}
     covers = [tuple(sorted({index[b] for b in sentence_bigrams(ps.tokens, stopwords)
                             if b in index}))
               for ps in pool]
     return IlpInstance(
-        sentences=[ps.text for ps in pool],
         lengths=[ps.word_length for ps in pool],
-        concepts=list(concepts),
+        coefficients=list(concepts.values()),
         covers=covers,
         budget=budget,
         sentence_cap=sentence_cap,
@@ -188,16 +181,20 @@ def build_instance(pool: list[PoolSentence], concepts: list[Concept],
 
 
 def _validate_instance(instance: IlpInstance) -> None:
-    n, m = len(instance.lengths), len(instance.concepts)
-    if len(instance.sentences) != n or len(instance.covers) != n:
-        raise ValueError("sentence fields disagree on length")
+    n, m = len(instance.lengths), len(instance.coefficients)
+    if len(instance.covers) != n:
+        raise ValueError("lengths and covers disagree on length")
     for row in instance.covers:
         if not all(isinstance(i, int) and 0 <= i < m for i in row) or list(row) != sorted(set(row)):
             raise ValueError("covers rows must hold distinct ascending concept indices in range")
-    if any(l < 0 for l in instance.lengths):
-        raise ValueError("negative sentence length")
-    if instance.budget < 0 or instance.sentence_cap < 0:
-        raise ValueError("budget and sentence_cap must be non-negative")
+    if not all(isinstance(l, int) and l >= 0 for l in instance.lengths):
+        raise ValueError("lengths must be non-negative integers")
+    if not all(map(math.isfinite, instance.coefficients)):
+        raise ValueError("coefficients must be finite")
+    for name in ("budget", "sentence_cap"):
+        value = getattr(instance, name)
+        if not isinstance(value, int) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer")
 
 
 def _iter_bits(mask: int):
@@ -228,12 +225,14 @@ def _knapsack(gains: dict[int, float], lengths: list[int], by_ratio: list[int],
 class _Search:
     def __init__(self, instance: IlpInstance, max_nodes: int):
         self.lengths = instance.lengths
+        self.n = len(self.lengths)
         self.budget = instance.budget
-        self.cap = instance.sentence_cap
-        self.coefficients = [c.weight + c.relevance for c in instance.concepts]
+        # a cap above the pool size selects as the pool size does; clamped, it
+        # also stays within what islice accepts
+        self.cap = min(instance.sentence_cap, self.n)
+        self.coefficients = instance.coefficients
         self.positive = [max(c, 0.0) for c in self.coefficients]
         self.masks = [sum(1 << i for i in row) for row in instance.covers]
-        self.n = len(self.lengths)
         # far above the rounding error of any plain float sum the bound makes
         self.slack = 1e-9 * math.fsum(abs(c) for c in self.coefficients)
         self.max_nodes = max_nodes
@@ -350,7 +349,7 @@ def verify_selection(instance: IlpInstance, selection: Selection) -> None:
     This recomputes coverage and sums from instance data alone, so a solver
     bookkeeping bug cannot hide behind its own accounting.
     """
-    n, m = len(instance.lengths), len(instance.concepts)
+    n, m = len(instance.lengths), len(instance.coefficients)
     chosen = list(selection.sentences)
     if chosen != sorted(set(chosen)) or any(j < 0 or j >= n for j in chosen):
         raise ValueError("sentence indices must be distinct, sorted, in range")
@@ -367,9 +366,7 @@ def verify_selection(instance: IlpInstance, selection: Selection) -> None:
         i = min(mismatched)
         state = "covered but not selected" if i in covered else "selected but uncovered"
         raise ValueError(f"concept {i} is {state}")
-    expected = math.fsum(
-        instance.concepts[i].weight + instance.concepts[i].relevance for i in picked
-    )
+    expected = math.fsum(instance.coefficients[i] for i in picked)
     if selection.objective != expected:
         raise ValueError("objective does not match the selected concepts")
 

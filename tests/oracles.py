@@ -13,6 +13,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from mathgloss.corpus import MathItem
 from mathgloss.errors import EmptyCorpus, EmptyPool, ParseError
 from mathgloss.mathtree import (IMPLICIT_MUL, PATH_DEPTH, MathNode, MathTree, parse_expression,
                                tree_similarity)
-from mathgloss.summarizer import Concept, IlpInstance, PoolSentence, sentence_bigrams
+from mathgloss.summarizer import IlpInstance, PoolSentence, sentence_bigrams
 from mathgloss.textsim import EmbeddingStore, avg_vector, cosine, text_cosine
 from mathgloss.trg import Edge, TopicRelationGraph
 
@@ -236,7 +237,7 @@ def brute_force_solve(instance: IlpInstance) -> tuple[float, tuple[int, ...]]:
     order; at equal objectives the lexicographically smallest index tuple
     wins, regardless of discovery order.
     """
-    coeff = [c.weight + c.relevance for c in instance.concepts]
+    coeff = instance.coefficients
     n, m = len(instance.lengths), len(coeff)
     masks = []
     for row in instance.covers:
@@ -274,8 +275,7 @@ def check_selection(instance: IlpInstance, selection) -> list[str]:
     covered = {i for j in chosen for i in instance.covers[j]}
     if covered != set(selection.concepts):
         problems.append("concept choices disagree with sentence coverage")
-    expected = math.fsum(instance.concepts[i].weight + instance.concepts[i].relevance
-                         for i in sorted(covered))
+    expected = math.fsum(instance.coefficients[i] for i in sorted(covered))
     if selection.objective != expected:
         problems.append("objective does not equal the recomputed coefficient sum")
     return problems
@@ -291,17 +291,15 @@ def random_instance(rng: random.Random, max_sentences: int = 12,
     for i in range(m):  # every concept must occur somewhere in the pool
         if not any(i in row for row in covers):
             covers[rng.randrange(n)].add(i)
-    concepts = [Concept(bigram=(f"w{2 * i}", f"w{2 * i + 1}"),
-                        weight=rng.randint(1, 5),
-                        relevance=rng.uniform(-1.0, 1.0))
-                for i in range(m)]
+    # a weight, then a relevance, per concept
+    coefficients = [rng.randint(1, 5) + rng.uniform(-1.0, 1.0) for _ in range(m)]
     total = sum(lengths)
     if rng.random() < 0.5:
         budget = rng.randint(0, max(total // 2, 1))  # usually tight
     else:
         budget = rng.randint(0, total + 5)  # sometimes slack
-    return IlpInstance(sentences=[f"s{j}" for j in range(n)], lengths=lengths,
-                       concepts=concepts, covers=[tuple(sorted(row)) for row in covers],
+    return IlpInstance(lengths=lengths, coefficients=coefficients,
+                       covers=[tuple(sorted(row)) for row in covers],
                        budget=budget, sentence_cap=rng.randint(1, n))
 
 
@@ -314,7 +312,7 @@ def greedy_oracle(instance: IlpInstance, per_word: bool) -> tuple[tuple[int, ...
     the coefficients the sentence would newly cover.  Returns the chosen
     indices, ascending, and the bitmask of the concepts they cover.
     """
-    positive = [max(c.weight + c.relevance, 0.0) for c in instance.concepts]
+    positive = [max(c, 0.0) for c in instance.coefficients]
     masks = [sum(1 << i for i in row) for row in instance.covers]
 
     def gain(j: int, covered: int) -> float:
@@ -349,8 +347,14 @@ def greedy_oracle(instance: IlpInstance, per_word: bool) -> tuple[tuple[int, ...
 # --------------------------------------------------------------------------
 # concept extraction oracle: one avg_vector and one cosine per bigram
 
-def extract_concepts_oracle(docs: list[Document], query: Query,
-                            store: EmbeddingStore) -> tuple[list[PoolSentence], list[Concept]]:
+class OracleConcept(NamedTuple):
+    bigram: tuple[str, str]
+    weight: int
+    relevance: float
+
+
+def extract_concepts_oracle(docs: list[Document], query: Query, store: EmbeddingStore
+                            ) -> tuple[list[PoolSentence], list[OracleConcept]]:
     """The sentence pool and its bigram concepts, each relevance computed on its own."""
     pool: list[PoolSentence] = []
     for doc in docs:
@@ -368,7 +372,7 @@ def extract_concepts_oracle(docs: list[Document], query: Query,
     concepts = []
     for bigram, weight in weights.items():
         relevance = text_cosine(avg_vector(bigram, store), query_vec)
-        concepts.append(Concept(bigram=bigram, weight=weight, relevance=relevance))
+        concepts.append(OracleConcept(bigram=bigram, weight=weight, relevance=relevance))
     return pool, concepts
 
 

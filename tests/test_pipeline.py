@@ -155,6 +155,15 @@ def test_cli_zero_limits_are_accepted(fixture_paths, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_cli_cap_beyond_any_pool_answers_as_a_large_one(fixture_paths, capsys):
+    # a cap past sys.maxsize selects as any cap above the pool size does
+    assert cli_run(_cli_args(fixture_paths, "--max-sentences", "1000")) == 0
+    expected = capsys.readouterr()
+    assert cli_run(_cli_args(fixture_paths, "--max-sentences", "9" * 20)) == 0
+    assert capsys.readouterr() == expected
+    assert expected.out and expected.err == ""
+
+
 def test_cli_missing_corpus_file_is_data_error(fixture_paths, capsys):
     args = _cli_args(fixture_paths)
     args[args.index("--corpus") + 1] = "/nonexistent/corpus.jsonl"

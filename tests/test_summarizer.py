@@ -14,10 +14,10 @@ from mathgloss import Query, solve_ilp, verify_selection
 from mathgloss.corpus import Document, Sentence
 from mathgloss.errors import EmptyPool, InstanceTooLarge
 from mathgloss.selector import TimestampedDoc
-from mathgloss.summarizer import (DEFAULT_MAX_NODES, Concept, IlpInstance, PoolSentence,
-                                  Selection, _Search, build_instance, extract_concepts,
+from mathgloss.summarizer import (DEFAULT_MAX_NODES, IlpInstance, PoolSentence, Selection,
+                                  _relevances, _Search, build_instance, extract_concepts,
                                   order_sentences, sentence_bigrams)
-from mathgloss.textsim import EmbeddingStore
+from mathgloss.textsim import EmbeddingStore, avg_vector
 from oracles import (brute_force_solve, check_selection, extract_concepts_oracle, greedy_oracle,
                      random_corpus, random_instance, random_query, random_store)
 
@@ -55,9 +55,8 @@ def test_extract_concepts_single_sentence():
     docs = [_text_doc("d1", "One", ["fibonacci numbers grow"])]
     query = Query.parse("a", "fibonacci")
     pool, concepts = extract_concepts(docs, query, _plain_store())
-    assert [(c.bigram, c.weight) for c in concepts] == [
-        (("fibonacci", "numbers"), 1), (("numbers", "grow"), 1),
-    ]
+    # no vectors, so no relevance: each coefficient is the bigram's weight
+    assert concepts == {("fibonacci", "numbers"): 1, ("numbers", "grow"): 1}
     assert [ps.text for ps in pool] == ["fibonacci numbers grow"]
 
 
@@ -76,8 +75,7 @@ def test_extract_concepts_counts_across_pool():
         _text_doc("d2", "Two", ["prime numbers everywhere"]),
     ]
     query = Query.parse("a", "primes")
-    _, concepts = extract_concepts(docs, query, _plain_store())
-    weights = {c.bigram: c.weight for c in concepts}
+    _, weights = extract_concepts(docs, query, _plain_store())
     assert weights[("prime", "numbers")] == 3
     assert weights[("numbers", "grow")] == 1
 
@@ -85,8 +83,7 @@ def test_extract_concepts_counts_across_pool():
 def test_extract_concepts_counts_each_occurrence():
     docs = [_text_doc("d1", "One", ["loop again loop again"])]
     query = Query.parse("a", "loops")
-    _, concepts = extract_concepts(docs, query, _plain_store())
-    weights = {c.bigram: c.weight for c in concepts}
+    _, weights = extract_concepts(docs, query, _plain_store())
     assert weights[("loop", "again")] == 2  # twice within one sentence
     assert weights[("again", "loop")] == 1
 
@@ -104,20 +101,21 @@ def test_extract_concepts_pool_order_and_empty_sentences():
 def test_extract_concepts_relevance_from_fixture_vectors(store, golden_query):
     docs = [_text_doc("d1", "One", ["right triangle rules"])]
     pool, concepts = extract_concepts(docs, golden_query, store)
-    relevance = {c.bigram: c.relevance for c in concepts}
-    assert relevance[("right", "triangle")] == 3 / math.sqrt(11)
-    assert relevance[("triangle", "rules")] == 3 / math.sqrt(11)  # rules is unknown
-    assert all(c.weight == 1 for c in concepts)
+    assert list(concepts) == [("right", "triangle"), ("triangle", "rules")]
+    # rules is unknown: the second bigram's mean is the vector of triangle alone
+    query_vec = avg_vector(golden_query.context_tokens, store)
+    assert _relevances(list(concepts), store, query_vec) == [3 / math.sqrt(11)] * 2
+    assert list(concepts.values()) == [1 + 3 / math.sqrt(11)] * 2
 
 
 def test_extract_concepts_zero_relevance_when_absent(golden_query):
     docs = [_text_doc("d1", "One", ["alpha beta gamma"])]
     _, concepts = extract_concepts(docs, golden_query, _plain_store())
-    assert all(c.relevance == 0.0 for c in concepts)
+    assert list(concepts.values()) == [1.0, 1.0]  # the weights, with no relevance
 
 
 def _assert_concepts_match_oracle(docs, query, store):
-    """Same pool, same concept order, bit-equal relevances, and no warning."""
+    """Same pool, same concept order, bit-equal relevances and coefficients, and no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -127,9 +125,13 @@ def _assert_concepts_match_oracle(docs, query, store):
                 extract_concepts(docs, query, store)
             return
         pool, concepts = extract_concepts(docs, query, store)
+        relevances = _relevances(list(concepts), store, avg_vector(query.context_tokens, store))
     assert pool == expected_pool
-    assert ([(c.bigram, c.weight, float.hex(c.relevance)) for c in concepts]
-            == [(c.bigram, c.weight, float.hex(c.relevance)) for c in expected])
+    assert list(concepts) == [c.bigram for c in expected]
+    # relevances on their own, so that a relevance error is told apart from a weight error
+    assert list(map(float.hex, relevances)) == [float.hex(c.relevance) for c in expected]
+    assert (list(map(float.hex, concepts.values()))
+            == [float.hex(c.weight + c.relevance) for c in expected])
 
 
 def test_extract_concepts_matches_oracle_on_random_corpora():
@@ -208,9 +210,10 @@ def test_build_instance_matrix():
     pool, concepts = _pool_and_concepts()
     instance = build_instance(pool, concepts, budget=10, sentence_cap=2,
                               stopwords=frozenset())
-    assert [c.bigram for c in instance.concepts] == [
+    assert list(concepts) == [
         ("fibonacci", "numbers"), ("numbers", "grow"), ("grow", "fast"),
     ]
+    assert instance.coefficients == [1.0, 2.0, 1.0]  # the weights: the store has no vectors
     assert instance.covers == [(0, 1), (1, 2)]
     assert instance.lengths == [3, 3]
     assert instance.budget == 10
@@ -224,9 +227,8 @@ def test_lengths_count_stopwords_too():
     pool, concepts = extract_concepts(docs, query, store)
     instance = build_instance(pool, concepts, 100, 5, store.stopwords)
     assert instance.lengths == [6]  # raw token count, stopwords included
-    assert [c.bigram for c in instance.concepts] == [
-        ("sum", "squares"), ("squares", "stays"),
-    ]
+    assert list(concepts) == [("sum", "squares"), ("squares", "stays")]
+    assert instance.covers == [(0, 1)]
 
 
 # --------------------------------------------------------------------------
@@ -234,12 +236,9 @@ def test_lengths_count_stopwords_too():
 
 def _tiny_instance(lengths, rows, weights, budget, cap, relevances=None):
     """An instance whose sentence j covers concept i where rows[j][i] is 1."""
-    m = len(weights)
-    relevances = relevances or [0.0] * m
-    concepts = [Concept(bigram=(f"a{i}", f"b{i}"), weight=weights[i],
-                        relevance=relevances[i]) for i in range(m)]
-    return IlpInstance(sentences=[f"s{j}" for j in range(len(lengths))],
-                       lengths=list(lengths), concepts=concepts,
+    relevances = relevances or [0.0] * len(weights)
+    return IlpInstance(lengths=list(lengths),
+                       coefficients=[w + r for w, r in zip(weights, relevances)],
                        covers=[tuple(i for i, v in enumerate(row) if v) for row in rows],
                        budget=budget, sentence_cap=cap)
 
@@ -356,9 +355,8 @@ def test_incremental_greedy_matches_oracle():
             if rng.random() < 0.15:
                 instance.lengths[j] = 0  # gain per word is infinite
         if draw % 2:  # zero and negative coefficients gain nothing
-            instance.concepts = [Concept(c.bigram, rng.choice([0, 1, 2]),
-                                         rng.choice([-3.0, 0.0, 0.5]))
-                                 for c in instance.concepts]
+            instance.coefficients = [rng.choice([0, 1, 2]) + rng.choice([-3.0, 0.0, 0.5])
+                                     for _ in instance.coefficients]
         instances.append(instance)
     for instance in instances:
         search = _Search(instance, max_nodes=1)
@@ -377,7 +375,17 @@ def test_incremental_greedy_matches_oracle():
                  id="not an integer"),
     (lambda inst: setattr(inst, "budget", -1), "non-negative"),
     (lambda inst: inst.lengths.__setitem__(0, -2), "negative"),
-    (lambda inst: inst.sentences.pop(), "disagree on length"),
+    (lambda inst: inst.covers.pop(), "disagree on length"),
+    pytest.param(lambda inst: inst.coefficients.__setitem__(0, math.nan), "coefficients",
+                 id="nan coefficient"),
+    pytest.param(lambda inst: inst.coefficients.__setitem__(1, -math.inf), "coefficients",
+                 id="infinite coefficient"),
+    pytest.param(lambda inst: inst.lengths.__setitem__(0, 1.5), "lengths",
+                 id="fractional length"),
+    pytest.param(lambda inst: setattr(inst, "budget", 9.0), "budget",
+                 id="float budget"),
+    pytest.param(lambda inst: setattr(inst, "sentence_cap", 1.5), "sentence_cap",
+                 id="fractional cap"),
 ])
 def test_invalid_instances_rejected(mutate, message):
     instance = _tiny_instance([3, 4], [[1, 0], [0, 1]], [5, 5], budget=9, cap=2)
